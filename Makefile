@@ -150,13 +150,15 @@ lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # Quick throughput/allocation smoke: one full trial per heuristic class
-# (single-fleet and sharded) and the convolution-core allocation guards.
+# (single-fleet and sharded), the convolution-core allocation guards, and
+# the pmf kernel microbenchmarks on SPEC PET inputs (DropEval,
+# ConvolveDropInto, Compact, MeanCappedAt).
 # The cluster trials run several iterations so the reported numbers are
 # warm steady state, not first-run cache warm-up.
 bench-smoke:
 	$(GO) test -run xxx -bench SingleTrial -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ClusterTrial -benchtime 5x -benchmem .
-	$(GO) test -run xxx -bench Convolve -benchtime 100x -benchmem ./internal/pmf/
+	$(GO) test -run xxx -bench 'Convolve|Kernel' -benchtime 100x -benchmem ./internal/pmf/
 
 # Full benchmark sweep, recorded as BENCH_<date>.json so the performance
 # trajectory of the repo is machine-readable PR over PR. Three iterations

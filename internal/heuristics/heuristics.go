@@ -509,15 +509,19 @@ func (s *probState) compute(ctx *Context, t *task.Task, mi int) fastEval {
 	return fastEval{success: success, expFree: expFree}
 }
 
-// evaluate returns the (cached) fast evaluation of task t on machine mi. A
-// cache slot is valid while machine mi's tail stamp is unchanged — a
-// commit bumps exactly one machine's stamp (invalidating one column), and
-// across events the stamp only moves when the tail memo misses.
+// evaluate returns the (cached) fast evaluation of task t on machine mi.
 func (s *probState) evaluate(ctx *Context, t *task.Task, mi int) fastEval {
 	if s.naive {
 		return s.compute(ctx, t, mi)
 	}
-	te := s.cache.row(t.ID, len(ctx.Machines))
+	return s.evaluateRow(s.cache.row(t.ID, len(ctx.Machines)), ctx, t, mi)
+}
+
+// evaluateRow is evaluate against task t's already-fetched cache row te. A
+// cache slot is valid while machine mi's tail stamp is unchanged — a
+// commit bumps exactly one machine's stamp (invalidating one column), and
+// across events the stamp only moves when the tail memo misses.
+func (s *probState) evaluateRow(te *taskEval, ctx *Context, t *task.Task, mi int) fastEval {
 	stamp := s.cache.stamps[mi]
 	if te.has[mi] && te.ver[mi] == stamp {
 		s.cache.hits++
@@ -535,15 +539,28 @@ func (s *probState) evaluate(ctx *Context, t *task.Task, mi int) fastEval {
 // several machines) break toward the earliest expected completion —
 // without this, every saturated task would pile onto the lowest-indexed
 // machine.
+//
+// The task's cache row is looked up once per scan, at the first machine
+// with room (so a scan that evaluates nothing creates no row), instead of
+// once per machine.
 func (s *probState) bestByRobustness(ctx *Context, t *task.Task) (mi int, ev fastEval, ok bool) {
 	const tieEps = 1e-9
 	best := -1
 	var bestEv fastEval
+	var te *taskEval
 	for i, m := range ctx.Machines {
 		if m.FreeSlots() <= 0 {
 			continue
 		}
-		r := s.evaluate(ctx, t, i)
+		var r fastEval
+		if s.naive {
+			r = s.compute(ctx, t, i)
+		} else {
+			if te == nil {
+				te = s.cache.row(t.ID, len(ctx.Machines))
+			}
+			r = s.evaluateRow(te, ctx, t, i)
+		}
 		switch {
 		case best == -1 || r.success > bestEv.success+tieEps:
 			best, bestEv = i, r

@@ -6,31 +6,57 @@ package pmf
 // a candidate queue tail — cost O(|tail|) instead of a full O(|tail|·|exec|)
 // convolution. Full convolutions are then only needed when an assignment is
 // actually committed (to update the tail) or when a queue chain is walked.
+//
+// The hot table is interleaved: cell i holds both scalars phase one reads
+// at the tick start+i, so each tail impulse DropEval visits costs one
+// 16-byte load (cells are 16-byte aligned, so never split across cache
+// lines). The partial expectation lives in a cold side table that only
+// PartialMean reads; at 24 bytes per slot the profile is no larger than
+// separate CDF, CCDF and partial-expectation tables.
 type Profile struct {
-	p    *PMF
-	cdf  []float64 // cdf[i]  = P(X <= start+i)
-	ccdf []float64 // ccdf[i] = 1 − cdf[i]: suffix (deadline-miss) mass
-	pex  []float64 // pex[i]  = E[X · 1(X <= start+i)]
-	mean float64
+	p     *PMF
+	start int64
+	cells []profileCell
+	pex   []float64 // pex[i] = E[X · 1(X <= start+i)]
+	mean  float64
+
+	// The last slot's CDF, CCDF and partial expectation: every query past
+	// the support clamps onto them.
+	lastCDF, lastCCDF, lastPex float64
+}
+
+// profileCell is one slot of a Profile's interleaved table.
+type profileCell struct {
+	cdf    float64 // P(X <= start+i)
+	capped float64 // E[min(X, start+i)] = pex[i] + (start+i)·(1 − cdf)
+}
+
+// cappedMean returns pex + d·ccdf, the E[min(X, d)] decomposition
+// E[X·1(X<=d)] + d·P(X>d). The explicit conversion rounds the product
+// before the add, so no architecture fuses the two into an FMA: the
+// precomputed cells and the past-the-support formula round identically.
+func cappedMean(pex, d, ccdf float64) float64 {
+	return pex + float64(d*ccdf)
 }
 
 // NewProfile precomputes prefix statistics for p. The PMF is retained by
 // reference and must not be mutated afterwards.
 func NewProfile(p *PMF) *Profile {
-	pr := &Profile{p: p}
-	pr.cdf = make([]float64, len(p.probs))
-	pr.ccdf = make([]float64, len(p.probs))
+	pr := &Profile{p: p, start: p.start, mean: p.Mean()}
+	if len(p.probs) == 0 {
+		return pr
+	}
+	pr.cells = make([]profileCell, len(p.probs))
 	pr.pex = make([]float64, len(p.probs))
 	var c, e float64
 	for i, v := range p.probs {
 		x := float64(p.start + int64(i))
 		c += v
 		e += v * x
-		pr.cdf[i] = c
-		pr.ccdf[i] = 1 - c
+		pr.cells[i] = profileCell{cdf: c, capped: cappedMean(e, x, 1-c)}
 		pr.pex[i] = e
 	}
-	pr.mean = p.Mean()
+	pr.lastCDF, pr.lastCCDF, pr.lastPex = c, 1-c, e
 	return pr
 }
 
@@ -40,49 +66,60 @@ func (pr *Profile) PMF() *PMF { return pr.p }
 // Mean returns E[X].
 func (pr *Profile) Mean() float64 { return pr.mean }
 
+// at returns CDF(d) and MeanCappedAt(d) — the per-impulse lookup shared by
+// DropEval and DropSuccess. The three regions of d:
+//
+//   - inside the support: one cell load;
+//   - past the support: the last slot's CDF, and the last partial
+//     expectation plus d times the last CCDF (X <= d surely, so this is
+//     E[X] up to the rounding residue 1 − Σp the last CCDF carries);
+//   - below the support, or an empty profile: 0 and d (X > d surely, so
+//     min(X, d) = d).
+//
+// The cells hold exactly the sums the capped-mean formula computes at
+// their tick (the same operands, the same rounding), so the table and the
+// formula agree bit for bit wherever both apply.
+func (pr *Profile) at(d int64) (cdf, capped float64) {
+	i := d - pr.start
+	if uint64(i) < uint64(len(pr.cells)) {
+		c := pr.cells[i]
+		return c.cdf, c.capped
+	}
+	if i < 0 || len(pr.cells) == 0 {
+		return 0, float64(d)
+	}
+	return pr.lastCDF, cappedMean(pr.lastPex, float64(d), pr.lastCCDF)
+}
+
 // CDF returns P(X <= t).
 func (pr *Profile) CDF(t int64) float64 {
-	if len(pr.cdf) == 0 || t < pr.p.start {
-		return 0
-	}
-	i := t - pr.p.start
-	if i >= int64(len(pr.cdf)) {
-		i = int64(len(pr.cdf)) - 1
-	}
-	return pr.cdf[i]
+	c, _ := pr.at(t)
+	return c
 }
 
 // PartialMean returns E[X · 1(X <= t)].
 func (pr *Profile) PartialMean(t int64) float64 {
-	if len(pr.pex) == 0 || t < pr.p.start {
+	i := t - pr.start
+	switch {
+	case i < 0:
 		return 0
-	}
-	i := t - pr.p.start
-	if i >= int64(len(pr.pex)) {
-		i = int64(len(pr.pex)) - 1
+	case i >= int64(len(pr.pex)):
+		return pr.lastPex // 0 for an empty profile
 	}
 	return pr.pex[i]
 }
 
 // CCDF returns the suffix mass P(X > t) = 1 − CDF(t) — the probability a
 // task whose execution profile is pr misses a deadline t ticks away — as
-// a precomputed O(1) lookup. For a normalized profile the table stores the
-// expression 1 − CDF(t) exactly; below (or without) support the result
-// saturates at 1, matching 1 − CDF(t) there too.
+// an O(1) lookup. Below (or without) support the result saturates at 1.
 func (pr *Profile) CCDF(t int64) float64 {
-	if len(pr.ccdf) == 0 || t < pr.p.start {
-		return 1
-	}
-	i := t - pr.p.start
-	if i >= int64(len(pr.ccdf)) {
-		i = int64(len(pr.ccdf)) - 1
-	}
-	return pr.ccdf[i]
+	return 1 - pr.CDF(t)
 }
 
 // MeanCappedAt returns E[min(X, d)] = E[X·1(X<=d)] + d·P(X>d).
 func (pr *Profile) MeanCappedAt(d int64) float64 {
-	return pr.PartialMean(d) + float64(d)*pr.CCDF(d)
+	_, m := pr.at(d)
+	return m
 }
 
 // DropSuccess computes the success probability of a task with the given
@@ -106,19 +143,22 @@ func DropSuccess(prev *PMF, exec *Profile, deadline int64) float64 {
 	// ascending, so the prefix below the boundary index is exactly the set
 	// the per-element break used to visit, in the same order.
 	cut := startsBefore(prev, deadline)
+	gap := deadline - prev.start // exec's deadline gap for the slot at offset 0
 	if nz := prev.nz; nz != nil {
 		for _, off := range nz {
 			if int64(off) >= cut {
 				break
 			}
-			s += prev.probs[off] * exec.CDF(deadline-prev.start-int64(off))
+			c, _ := exec.at(gap - int64(off))
+			s += prev.probs[off] * c
 		}
 	} else {
 		for i, a := range prev.probs[:cut] {
 			if a == 0 {
 				continue
 			}
-			s += a * exec.CDF(deadline-prev.start-int64(i))
+			c, _ := exec.at(gap - int64(i))
+			s += a * c
 		}
 	}
 	if s > 1 {
@@ -179,7 +219,9 @@ func DropExpectedFree(prev *PMF, exec *Profile, deadline int64, mode DropMode) f
 // the two scalars phase-one mapping evaluates for every (task, machine)
 // pair. The accumulation order of each result replicates its standalone
 // function exactly, so DropEval is a bit-identical drop-in for the pair of
-// calls at half the tail-scanning cost.
+// calls at half the tail-scanning cost. Each slot before the deadline
+// costs one Profile.at lookup: a single interleaved cell load whenever the
+// deadline gap falls inside exec's support.
 func DropEval(prev *PMF, exec *Profile, deadline int64, mode DropMode) (success, expFree float64) {
 	if prev.IsZero() {
 		return 0, 0
@@ -194,6 +236,8 @@ func DropEval(prev *PMF, exec *Profile, deadline int64, mode DropMode) (success,
 	// visit the same elements in the same order as the single switch-laden
 	// scan they replace — bit-identical sums at a fraction of the branches.
 	cut := startsBefore(prev, deadline)
+	gap := deadline - prev.start // exec's deadline gap for the slot at offset 0
+	em := exec.Mean()
 	var s, e, mass float64
 	if nz := prev.nz; nz != nil {
 		// Sparse fast path: a compacted tail stores few impulses over a
@@ -207,19 +251,18 @@ func DropEval(prev *PMF, exec *Profile, deadline int64, mode DropMode) (success,
 		if mode == Evict {
 			for _, off := range nz[:nzCut] {
 				a := probs[off]
-				st := prev.start + int64(off)
+				c, m := exec.at(gap - int64(off))
 				mass += a
-				s += a * exec.CDF(deadline-st)
-				e += a * (float64(st) + exec.MeanCappedAt(deadline-st))
+				s += a * c
+				e += a * (float64(prev.start+int64(off)) + m)
 			}
 		} else {
-			em := exec.Mean()
 			for _, off := range nz[:nzCut] {
 				a := probs[off]
-				st := prev.start + int64(off)
+				c, _ := exec.at(gap - int64(off))
 				mass += a
-				s += a * exec.CDF(deadline-st)
-				e += a * (float64(st) + em)
+				s += a * c
+				e += a * (float64(prev.start+int64(off)) + em)
 			}
 		}
 		for _, off := range nz[nzCut:] {
@@ -233,21 +276,20 @@ func DropEval(prev *PMF, exec *Profile, deadline int64, mode DropMode) (success,
 				if a == 0 {
 					continue
 				}
-				st := prev.start + int64(i)
+				c, m := exec.at(gap - int64(i))
 				mass += a
-				s += a * exec.CDF(deadline-st)
-				e += a * (float64(st) + exec.MeanCappedAt(deadline-st))
+				s += a * c
+				e += a * (float64(prev.start+int64(i)) + m)
 			}
 		} else {
-			em := exec.Mean()
 			for i, a := range prev.probs[:cut] {
 				if a == 0 {
 					continue
 				}
-				st := prev.start + int64(i)
+				c, _ := exec.at(gap - int64(i))
 				mass += a
-				s += a * exec.CDF(deadline-st)
-				e += a * (float64(st) + em)
+				s += a * c
+				e += a * (float64(prev.start+int64(i)) + em)
 			}
 		}
 		base := prev.start + cut

@@ -38,6 +38,43 @@ func randomPMFFrom(r *rand.Rand, maxLen int, minStart int64) *PMF {
 	return New(minStart+int64(r.Intn(50)), probs)
 }
 
+// randomSparsePMF builds a compacted PMF — a handful of impulses over a
+// wide dense support, with the non-zero index set — the shape queue tails
+// take after Compact and the shape the sparse scans of DropEval,
+// DropSuccess and the convolution cores walk. The dense support is always
+// wider than the compaction bound, so the index is always present.
+func randomSparsePMF(r *rand.Rand, maxWidth int) *PMF {
+	wide := make([]float64, DefaultMaxImpulses+1+r.Intn(maxWidth))
+	for k := 1 + r.Intn(3*DefaultMaxImpulses); k > 0; k-- {
+		wide[r.Intn(len(wide))] = r.Float64()
+	}
+	// Non-zero edges keep New from trimming the span below the bound.
+	wide[0], wide[len(wide)-1] = 0.01+r.Float64(), 0.01+r.Float64()
+	p := New(int64(r.Intn(50)), wide)
+	p.Normalize()
+	sp := Compact(p, 1+r.Intn(DefaultMaxImpulses))
+	if sp.nz == nil {
+		panic("randomSparsePMF: Compact left no sparse index")
+	}
+	return sp
+}
+
+// tailKinds are the two queue-tail shapes the property tests draw prev
+// from: dense spans and compacted sparse tails.
+var tailKinds = []struct {
+	name string
+	gen  func(r *rand.Rand) *PMF
+}{
+	{"dense", func(r *rand.Rand) *PMF { return randomPMF(r, 24) }},
+	{"sparse", func(r *rand.Rand) *PMF { return randomSparsePMF(r, 200) }},
+}
+
+// randomDeadline draws a deadline from prev's start to 40 ticks past its
+// dense support, so wide sparse tails are cut anywhere along their span.
+func randomDeadline(r *rand.Rand, prev *PMF) int64 {
+	return prev.Start() + int64(r.Intn(prev.Len()+40))
+}
+
 var quickCfg = &quick.Config{MaxCount: 300}
 
 // Property: convolution preserves total mass.
@@ -120,42 +157,108 @@ func TestPropConvolveDropMass(t *testing.T) {
 }
 
 // Property: DropSuccess (the O(|prev|) fast path) agrees exactly with the
-// Success field of the full convolution, in every mode.
+// Success field of the full convolution, in every mode, over dense and
+// compacted sparse tails.
 func TestPropDropSuccessMatchesConvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		prev := randomPMF(r, 24)
-		exec := randomExecPMF(r, 16)
-		prof := NewProfile(exec)
-		deadline := prev.Start() + int64(r.Intn(40))
-		fast := DropSuccess(prev, prof, deadline)
-		for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
-			res := ConvolveDrop(prev, exec, deadline, mode)
-			if math.Abs(res.Success-fast) > 1e-9 {
-				return false
+	for _, kind := range tailKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				prev := kind.gen(r)
+				exec := randomExecPMF(r, 16)
+				prof := NewProfile(exec)
+				deadline := randomDeadline(r, prev)
+				fast := DropSuccess(prev, prof, deadline)
+				for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
+					res := ConvolveDrop(prev, exec, deadline, mode)
+					if math.Abs(res.Success-fast) > 1e-9 {
+						return false
+					}
+				}
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
+			if err := quick.Check(f, quickCfg); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
 // Property: DropExpectedFree agrees with the mean of the fully convolved
-// Free PMF in every mode.
+// Free PMF in every mode, over dense and compacted sparse tails.
 func TestPropDropExpectedFreeMatchesConvolution(t *testing.T) {
+	for _, kind := range tailKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				prev := kind.gen(r)
+				exec := randomExecPMF(r, 16)
+				prof := NewProfile(exec)
+				deadline := randomDeadline(r, prev)
+				for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
+					res := ConvolveDrop(prev, exec, deadline, mode)
+					fast := DropExpectedFree(prev, prof, deadline, mode)
+					if math.Abs(res.Free.Mean()-fast) > 1e-6 {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, quickCfg); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// sameBits reports whether a and b are the same float64 bit pattern — a
+// stricter == that also tells +0 from −0 and matches NaN to itself.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// Property: DropEval is a bit-identical drop-in for the DropSuccess +
+// DropExpectedFree pair it fuses, for every tail shape (dense, compacted
+// sparse, and the sparse tail's dense twin, which holds the same values
+// without the non-zero index), every drop mode, deadlines below, inside
+// and past the support of the convolution, and degenerate exec profiles
+// (an impulse, and the empty profile).
+func TestPropDropEvalBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		prev := randomPMF(r, 24)
-		exec := randomExecPMF(r, 16)
-		prof := NewProfile(exec)
-		deadline := prev.Start() + int64(r.Intn(40))
-		for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
-			res := ConvolveDrop(prev, exec, deadline, mode)
-			fast := DropExpectedFree(prev, prof, deadline, mode)
-			if math.Abs(res.Free.Mean()-fast) > 1e-6 {
-				return false
+		sparse := randomSparsePMF(r, 200)
+		twin := New(sparse.start, sparse.probs) // Compact's edges are impulses: nothing to trim
+		prevs := []*PMF{randomPMF(r, 24), sparse, twin}
+		execs := []*PMF{randomExecPMF(r, 16), Impulse(1 + int64(r.Intn(20))), {}}
+		for _, prev := range prevs {
+			for _, exec := range execs {
+				prof := NewProfile(exec)
+				end := prev.End() + max(exec.End(), 0) // last tick the convolution reaches
+				deadlines := []int64{
+					prev.Start() - 1 - int64(r.Intn(5)),
+					prev.Start(),
+					prev.Start() + r.Int63n(end-prev.Start()+1),
+					end,
+					end + 1 + int64(r.Intn(5)),
+				}
+				for _, d := range deadlines {
+					for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
+						s, e := DropEval(prev, prof, d, mode)
+						ws := DropSuccess(prev, prof, d)
+						we := DropExpectedFree(prev, prof, d, mode)
+						if !sameBits(s, ws) || !sameBits(e, we) {
+							t.Logf("prev %v exec %v deadline %d %v: DropEval (%v, %v), pair (%v, %v)",
+								prev, exec, d, mode, s, e, ws, we)
+							return false
+						}
+						if prev == twin {
+							ss, se := DropEval(sparse, prof, d, mode)
+							if !sameBits(s, ss) || !sameBits(e, se) {
+								t.Logf("sparse/dense twins disagree at deadline %d %v: (%v, %v) vs (%v, %v)",
+									d, mode, ss, se, s, e)
+								return false
+							}
+						}
+					}
+				}
 			}
 		}
 		return true
