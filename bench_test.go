@@ -296,28 +296,19 @@ func BenchmarkClusterTrialPAM(b *testing.B) {
 	benchClusterTrial(b, "pet-aware", false)
 }
 
-// BenchmarkClusterTrialPAMParallel is BenchmarkClusterTrialPAM with the
-// per-DC stepping goroutines enabled (the -dcpar path). The PET-aware
-// dispatcher needs a barrier at every arrival, so the parallel win is
-// bounded by the sequential routing chain; the bench exists to pin the
-// parallel path's allocation profile and to make the (core-dependent)
-// speedup measurable next to the sequential number.
-func BenchmarkClusterTrialPAMParallel(b *testing.B) {
-	benchClusterTrial(b, "pet-aware", true)
-}
-
 // BenchmarkClusterTrialRR measures the same sharded trial behind the
 // state-free round-robin dispatcher — the sequential baseline for the
-// wide-window parallel variant below.
+// parallel variant below. (A stateful route such as pet-aware has no
+// parallel variant: cluster.New rejects Parallel behind it.)
 func BenchmarkClusterTrialRR(b *testing.B) {
 	benchClusterTrial(b, "round-robin", false)
 }
 
-// BenchmarkClusterTrialRRParallel exercises the wide-window pipelined
-// driver: round-robin is state-free, so the engine routes whole
+// BenchmarkClusterTrialRRParallel exercises the parallel driver:
+// round-robin is state-free, so the engine routes whole
 // inter-cluster-event windows into the per-DC worker queues and barriers
-// only at cluster events. This is the variant where per-DC parallelism
-// approaches linear scaling on multi-core hosts.
+// only at cluster and gate events. On a 2-core host it runs the trial in
+// about 0.6x the sequential BenchmarkClusterTrialRR time.
 func BenchmarkClusterTrialRRParallel(b *testing.B) {
 	benchClusterTrial(b, "round-robin", true)
 }

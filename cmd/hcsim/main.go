@@ -117,7 +117,7 @@ func main() {
 		stream    = flag.Bool("stream", false, "pull arrivals from the constant-memory streaming source (per-type RNG splits; workloads differ from the replay schedule at equal seeds), enabling -tasks far past materializable scale")
 		dcs       = flag.Int("dcs", 1, "shard -exp single across this many datacenters (1 = the plain single-fleet engine)")
 		route     = flag.String("route", "round-robin", "dispatch policy for -dcs > 1: "+strings.Join(cluster.PolicyNames(), ", "))
-		dcpar     = flag.Bool("dcpar", false, "step the -dcs datacenters concurrently between cluster-clock barriers (byte-identical results; requires -dcs > 1)")
+		dcpar     = flag.Bool("dcpar", false, "step the -dcs datacenters concurrently (byte-identical results; requires -dcs > 1 and -route round-robin)")
 		belief    = flag.String("belief", "", "mapper knowledge model for -exp single: oracle, frozen, or online (empty = the scenario's, else oracle)")
 
 		telemetryPath = flag.String("telemetry", "", "write per-shard telemetry time series to this file after an -exp single run (.json = JSON series, anything else = CSV)")
@@ -126,9 +126,13 @@ func main() {
 		metricsAddr   = flag.String("metrics-addr", "", "serve Prometheus text (/metrics), JSON snapshots (/metrics.json), and pprof on this address during -exp single")
 	)
 	flag.Parse()
-	validateClusterFlags(*exp, *dcs, *route)
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateClusterFlags(set, *exp, *dcs, *route); err != nil {
+		fatal(err)
+	}
 	tf := telemetryFlags{Path: *telemetryPath, Every: *sampleEvery, Phases: *phases, Addr: *metricsAddr}
-	validateTelemetryFlags(*exp, tf)
+	validateTelemetryFlags(set, *exp, tf)
 
 	opts := experiments.Options{
 		Trials: *trials, Tasks: *tasks, Seed: *seed,
@@ -196,14 +200,14 @@ func main() {
 }
 
 // validateClusterFlags rejects cluster-flag combinations that would
-// otherwise be silently ignored: -dcs/-route/-dcpar outside -exp single,
-// a stray -route or -dcpar next to a single-fleet run, a -dcs below 1,
-// and an unknown -route name. Each failure explains what the flag needs
-// and lists the valid values, then exits 1 — the same contract as an
-// unknown -exp name, instead of a run that quietly does something else.
-func validateClusterFlags(exp string, dcs int, route string) {
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+// otherwise be silently ignored or refused mid-run: -dcs/-route/-dcpar
+// outside -exp single, a stray -route or -dcpar next to a single-fleet
+// run, a -dcs below 1, an unknown -route name, and -dcpar behind a
+// stateful route. set holds the flags given on the command line. Each
+// error explains what the flag needs and lists the valid values; main
+// prints it and exits 1 — the same contract as an unknown -exp name,
+// instead of a run that quietly does something else.
+func validateClusterFlags(set map[string]bool, exp string, dcs int, route string) error {
 	var stray []string
 	for _, n := range []string{"dcs", "route", "dcpar"} {
 		if set[n] {
@@ -211,16 +215,14 @@ func validateClusterFlags(exp string, dcs int, route string) {
 		}
 	}
 	if exp != "single" && len(stray) > 0 {
-		fmt.Fprintf(os.Stderr, "hcsim: %s: cluster flags apply only to -exp single (got -exp %s)\n", strings.Join(stray, ", "), exp)
-		fmt.Fprintf(os.Stderr, "  hcsim -exp single -dcs 4 -route {%s} [-dcpar]\n", strings.Join(cluster.PolicyNames(), "|"))
-		os.Exit(1)
+		return fmt.Errorf("%s: cluster flags apply only to -exp single (got -exp %s)\n  hcsim -exp single -dcs 4 -route {%s} [-dcpar]",
+			strings.Join(stray, ", "), exp, strings.Join(cluster.PolicyNames(), "|"))
 	}
 	if exp != "single" {
-		return
+		return nil
 	}
 	if set["dcs"] && dcs < 1 {
-		fmt.Fprintf(os.Stderr, "hcsim: -dcs %d: a cluster needs at least one datacenter (1 = the plain single-fleet engine)\n", dcs)
-		os.Exit(1)
+		return fmt.Errorf("-dcs %d: a cluster needs at least one datacenter (1 = the plain single-fleet engine)", dcs)
 	}
 	if dcs == 1 {
 		stray = stray[:0]
@@ -230,18 +232,18 @@ func validateClusterFlags(exp string, dcs int, route string) {
 			}
 		}
 		if len(stray) > 0 {
-			fmt.Fprintf(os.Stderr, "hcsim: %s: cluster flags require -dcs > 1; the single-fleet engine has no dispatcher\n", strings.Join(stray, ", "))
-			os.Exit(1)
+			return fmt.Errorf("%s: cluster flags require -dcs > 1; the single-fleet engine has no dispatcher", strings.Join(stray, ", "))
 		}
-		return
+		return nil
 	}
-	if _, err := cluster.NewPolicy(route); err != nil {
-		fmt.Fprintf(os.Stderr, "hcsim: %v\nregistered dispatch policies:\n", err)
-		for _, n := range cluster.PolicyNames() {
-			fmt.Fprintf(os.Stderr, "  %s\n", n)
-		}
-		os.Exit(1)
+	policy, err := cluster.NewPolicy(route)
+	if err != nil {
+		return fmt.Errorf("%v\nregistered dispatch policies:\n  %s", err, strings.Join(cluster.PolicyNames(), "\n  "))
 	}
+	if set["dcpar"] && !cluster.IsStateFree(policy) {
+		return fmt.Errorf("-dcpar -route %s: parallel stepping needs a state-free route (round-robin); %s reads datacenter state at every arrival", route, policy.Name())
+	}
+	return nil
 }
 
 // telemetryFlags bundles the observability knobs for -exp single runs.
@@ -268,9 +270,7 @@ func (tf telemetryFlags) options() *telemetry.Options {
 // validateTelemetryFlags rejects observability flags outside -exp single
 // and nonsensical sampling intervals, matching validateClusterFlags'
 // fail-loudly contract.
-func validateTelemetryFlags(exp string, tf telemetryFlags) {
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+func validateTelemetryFlags(set map[string]bool, exp string, tf telemetryFlags) {
 	var stray []string
 	for _, n := range []string{"telemetry", "sample-every", "phases", "metrics-addr"} {
 		if set[n] {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -54,5 +55,44 @@ func TestTelemetryFlagsOptions(t *testing.T) {
 	}
 	if (telemetryFlags{}).options() != nil {
 		t.Fatal("zero flags yielded options")
+	}
+}
+
+// TestValidateClusterFlags pins every cluster-flag rejection — each names
+// the offending flags and what they need — and the combinations that pass.
+func TestValidateClusterFlags(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		set   []string
+		exp   string
+		dcs   int
+		route string
+		want  string // error substring; "" = accepted
+	}{
+		{"cluster flags outside single", []string{"dcs", "dcpar"}, "fig7", 4, "round-robin", "-dcs, -dcpar: cluster flags apply only to -exp single (got -exp fig7)"},
+		{"no datacenters", []string{"dcs"}, "single", 0, "round-robin", "-dcs 0: a cluster needs at least one datacenter"},
+		{"route on one DC", []string{"route"}, "single", 1, "pet-aware", "-route: cluster flags require -dcs > 1"},
+		{"dcpar on one DC", []string{"dcpar"}, "single", 1, "round-robin", "-dcpar: cluster flags require -dcs > 1"},
+		{"unknown route", []string{"dcs", "route"}, "single", 4, "bogus", "unknown dispatch policy \"bogus\""},
+		{"dcpar behind pet-aware", []string{"dcs", "route", "dcpar"}, "single", 4, "pet-aware", "-dcpar -route pet-aware: parallel stepping needs a state-free route"},
+		{"dcpar behind least-queued", []string{"dcs", "route", "dcpar"}, "single", 4, "lq", "-dcpar -route lq: parallel stepping needs a state-free route (round-robin); least-queued reads"},
+		{"dcpar behind round-robin", []string{"dcs", "route", "dcpar"}, "single", 4, "round-robin", ""},
+		{"dcpar behind the default route", []string{"dcs", "dcpar"}, "single", 4, "round-robin", ""},
+		{"pet-aware sequential", []string{"dcs", "route"}, "single", 4, "pet-aware", ""},
+		{"no cluster flags", nil, "fig7", 1, "round-robin", ""},
+	} {
+		set := make(map[string]bool)
+		for _, n := range c.set {
+			set[n] = true
+		}
+		err := validateClusterFlags(set, c.exp, c.dcs, c.route)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted, want %q", c.name, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
+		}
 	}
 }

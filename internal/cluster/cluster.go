@@ -64,12 +64,14 @@ type Config struct {
 	// scenario's, and a disabled policy keeps the oracle dispatcher
 	// byte-identical to engines built before the layer existed.
 	Failover *scenario.FailoverPolicy
-	// Parallel steps the datacenters concurrently between cluster-clock
-	// barriers, one goroutine per DC, instead of interleaving them on the
-	// caller's goroutine. Traces, dispatch log, and statistics are
+	// Parallel steps the datacenters concurrently, one goroutine per DC,
+	// instead of interleaving them on the caller's goroutine: arrivals
+	// stream into per-DC queues and the workers meet only at cluster and
+	// gate events. It needs a state-free policy (StateFreeRouter, i.e.
+	// round-robin); New rejects it for a policy that reads datacenter
+	// state at every arrival. Traces, dispatch log, and statistics are
 	// byte-identical either way (the determinism tests pin this); the knob
-	// only trades goroutines for wall-clock. See parallel.go for the
-	// barrier/merge semantics.
+	// only trades goroutines for wall-clock. See parallel.go.
 	Parallel bool
 	// Telemetry, when non-nil, enables probe registries and tick-driven
 	// samplers: one shard for the engine (gate and health metrics) and one
@@ -247,6 +249,9 @@ func New(cfg Config) (*Engine, error) {
 	if policy == nil {
 		policy = &RoundRobin{}
 	}
+	if cfg.Parallel && !IsStateFree(policy) {
+		return nil, fmt.Errorf("cluster: Parallel needs a state-free dispatch policy (round-robin); policy %q reads datacenter state at every arrival", policy.Name())
+	}
 	clusterEvents, perDC, err := splitScenario(cfg.Sim.Scenario, nm, cfg.DCs)
 	if err != nil {
 		return nil, err
@@ -405,16 +410,8 @@ func splitScenario(sc *scenario.Scenario, nm, nDCs int) ([]scenario.Event, []*sc
 // through the cluster, cost summed across datacenters) plus each
 // datacenter's own trial statistics.
 func (e *Engine) RunSource(src workload.Source) (metrics.TrialStats, []metrics.TrialStats, error) {
-	trim := e.cfg.Sim.Trim
-	if trim == 0 {
-		trim = metrics.DefaultTrim
-	}
-	e.collector = metrics.NewStream(e.matrix.NumTypes(), trim)
-	e.recycler, _ = src.(workload.Recycler)
-	for _, d := range e.dcs {
-		d.sim.Begin(e.collector)
-		d.sim.SetRecycler(e.recycler)
-	}
+	rec, _ := src.(workload.Recycler)
+	e.begin(rec)
 	if e.cfg.Parallel && len(e.dcs) > 1 {
 		if err := e.runParallel(src); err != nil {
 			return metrics.TrialStats{}, nil, err
@@ -422,12 +419,34 @@ func (e *Engine) RunSource(src workload.Source) (metrics.TrialStats, []metrics.T
 	} else if err := e.runSequential(src); err != nil {
 		return metrics.TrialStats{}, nil, err
 	}
-	// The drivers return with every arrival and event consumed; anything
-	// still waiting in the gate buffer has nowhere left to go.
+	st, perDC := e.finish()
+	return st, perDC, nil
+}
+
+// begin opens the trial's cluster collector and wires it, with the
+// recycler rec, into every datacenter — the start of a batch run
+// (RunSource) and of a live one (StartLive).
+func (e *Engine) begin(rec workload.Recycler) {
+	trim := e.cfg.Sim.Trim
+	if trim == 0 {
+		trim = metrics.DefaultTrim
+	}
+	e.collector = metrics.NewStream(e.matrix.NumTypes(), trim)
+	e.recycler = rec
+	for _, d := range e.dcs {
+		d.sim.Begin(e.collector)
+		d.sim.SetRecycler(rec)
+	}
+}
+
+// finish is the tail of a batch or live run: it sheds whatever the gate
+// buffer still holds (it has nowhere left to go), flushes the engine's
+// telemetry shard at the cluster-wide end of simulated time, and
+// finalizes every datacenter.
+func (e *Engine) finish() (metrics.TrialStats, []metrics.TrialStats) {
 	e.flushGateBuffer()
-	// Flush the engine shard at the cluster-wide end of simulated time.
 	// The sequential driver advances e.now on per-DC events while the
-	// parallel drivers leave those to the workers, so e.now alone is
+	// parallel driver leaves those to the workers, so e.now alone is
 	// driver-dependent; the max over the datacenters' clocks is not.
 	end := e.now
 	for _, d := range e.dcs {
@@ -442,34 +461,66 @@ func (e *Engine) RunSource(src workload.Source) (metrics.TrialStats, []metrics.T
 		perDC[i] = d.sim.Finalize()
 		total += perDC[i].TotalCost
 	}
-	return e.collector.Finalize(total), perDC, nil
+	return e.collector.Finalize(total), perDC
 }
 
 // runSequential interleaves the datacenters on the caller's goroutine —
-// the reference event order every other driver must reproduce.
+// the reference event order the parallel driver must reproduce: each
+// arrival lands after every event strictly before it, and the events left
+// when the stream ends drain in tie order.
 func (e *Engine) runSequential(src workload.Source) error {
-	next, hasNext, err := e.pull(src)
-	if err != nil {
+	for {
+		t, ok, err := e.pull(src)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return e.stepWhile(func(int64) bool { return true })
+		}
+		if err := e.arrive(t); err != nil {
+			return err
+		}
+	}
+}
+
+// arrive steps every pending event strictly before t.Arrival, then
+// dispatches t — arrivals win ties, exactly as in the single-fleet engine.
+// It is the one admit step of both sequential entry points, runSequential
+// and SubmitLive.
+func (e *Engine) arrive(t *task.Task) error {
+	if err := e.stepWhile(func(tick int64) bool { return tick < t.Arrival }); err != nil {
 		return err
 	}
+	return e.dispatch(t)
+}
+
+// stepWhile fires pending events in the engine's tie order for as long as
+// one is pending and more accepts the earliest one's tick.
+func (e *Engine) stepWhile(more func(tick int64) bool) error {
 	for {
 		tick, dc, ok := e.nextEvent()
-		switch {
-		case hasNext && (!ok || next.Arrival <= tick):
-			// Arrivals win ties, exactly as in the single-fleet engine.
-			if err := e.dispatch(next); err != nil {
-				return err
-			}
-			if next, hasNext, err = e.pull(src); err != nil {
-				return err
-			}
-		case ok:
-			if err := e.stepNext(tick, dc); err != nil {
-				return err
-			}
-		default:
+		if !ok || !more(tick) {
 			return nil
 		}
+		if err := e.stepNext(tick, dc); err != nil {
+			return err
+		}
+	}
+}
+
+// stepNext fires the event nextEvent (or nextEngineEvent) selected, so
+// every driver advances the clock and routes engine-level events
+// identically.
+func (e *Engine) stepNext(tick int64, dc int) error {
+	e.now = tick
+	switch dc {
+	case dcCluster:
+		return e.stepClusterEvent()
+	case dcGate:
+		return e.stepGateEvent()
+	default:
+		e.dcs[dc].sim.StepEvent()
+		return nil
 	}
 }
 
@@ -493,22 +544,29 @@ const (
 )
 
 // nextEvent returns the earliest pending event across the cluster — the
-// engine's own dc-fail/dc-recover schedule, the gate-event queue, and
-// every datacenter's internal queue. Ties break cluster-first, then gate,
-// then lowest datacenter index: a fixed, documented order that keeps
-// multi-DC replays byte-identical (truth events settle before the belief
-// observations and retries that depend on them).
+// engine-level events of nextEngineEvent and every datacenter's internal
+// queue. Ties break cluster-first, then gate, then lowest datacenter
+// index: a fixed, documented order that keeps multi-DC replays
+// byte-identical (truth events settle before the belief observations and
+// retries that depend on them).
 func (e *Engine) nextEvent() (tick int64, dc int, ok bool) {
+	tick, dc, ok = e.nextEngineEvent()
+	for i, d := range e.dcs {
+		if t, has := d.sim.NextEventTick(); has && (!ok || t < tick) {
+			tick, dc, ok = t, i, true
+		}
+	}
+	return tick, dc, ok
+}
+
+// nextEngineEvent returns the earliest engine-level event: the engine's
+// own dc-fail/dc-recover schedule, then the gate-event queue on a tie.
+func (e *Engine) nextEngineEvent() (tick int64, dc int, ok bool) {
 	if e.evPos < len(e.clusterEvents) {
 		tick, dc, ok = e.clusterEvents[e.evPos].Tick, dcCluster, true
 	}
 	if t, has := e.nextGateTick(); has && (!ok || t < tick) {
 		tick, dc, ok = t, dcGate, true
-	}
-	for i, d := range e.dcs {
-		if t, has := d.sim.NextEventTick(); has && (!ok || t < tick) {
-			tick, dc, ok = t, i, true
-		}
 	}
 	return tick, dc, ok
 }

@@ -204,7 +204,7 @@ func (e *Engine) stepGateEvent() error {
 }
 
 // applyGateEvent fires the earliest gate event. The caller has already set
-// e.now to its tick, and — in the parallel drivers — quiesced every worker
+// e.now to its tick, and — in the parallel driver — quiesced every worker
 // at that tick, so touching the simulators directly here reproduces the
 // sequential interleave exactly.
 func (e *Engine) applyGateEvent() error {
@@ -243,11 +243,11 @@ func (e *Engine) applyGateEvent() error {
 
 // routeArrival decides a fresh arrival's fate at its arrival tick and
 // reports where it went: (dc, true) means the caller must admit it into
-// that datacenter's simulator (drivers differ in how — direct Admit,
-// pending barrier admit, or worker channel); (_, false) means the gate
+// that datacenter's simulator (a direct Admit, or the parallel driver's
+// worker channel); (_, false) means the gate
 // already consumed it (buffered, dropped, or bounced into retry limbo).
 // It also counts the arrival, times the dispatch span, and ticks the
-// engine's telemetry shard — engine-owned state only, so the wide-window
+// engine's telemetry shard — engine-owned state only, so the parallel
 // driver may call it while workers are mid-window.
 func (e *Engine) routeArrival(t *task.Task) (int, bool, error) {
 	t0 := e.phases.Start()

@@ -13,28 +13,31 @@ import (
 // exhausted, then finalizes. A server cannot hand over control like that:
 // submissions trickle in over wall time, and between them the engine must
 // settle its in-flight work so status endpoints see completions, not a
-// frozen clock. StartLive/SubmitLive/Quiesce/FinishLive expose exactly the
+// frozen clock. StartLive/SubmitLive/Quiesce/FinishLive run exactly the
 // runSequential loop, re-cut at submission boundaries:
 //
-//   - SubmitLive(t) steps every pending event strictly before t.Arrival,
-//     then dispatches t — the same "arrivals win ties" order runSequential
-//     uses, so submitting a workload task-by-task is byte-equivalent to
-//     RunSource over the same tasks (the equivalence test pins this).
+//   - SubmitLive(t) is runSequential's admit step (arrive): every pending
+//     event strictly before t.Arrival fires, then t dispatches, so
+//     submitting a workload task-by-task is byte-equivalent to RunSource
+//     over the same tasks (the equivalence test pins this).
 //   - Quiesce steps pending events only while tasks are in flight. It
 //     deliberately does NOT run the event queue dry: far-future scenario
 //     events (a dc-fail at tick 10⁶) must wait for the clock to be pulled
 //     forward by real submissions, and gate-buffered tasks legitimately
 //     wait for a recovery event with nothing else pending.
-//   - FinishLive is RunSource's tail: flush the gate buffer, flush the
-//     telemetry sampler at the cluster-wide end of time, finalize.
+//   - FinishLive ends with RunSource's tail (finish): flush the gate
+//     buffer, flush the telemetry sampler at the cluster-wide end of
+//     time, finalize.
 //
 // Like RunSource, live driving is single-goroutine: the daemon's pump owns
 // the engine, and HTTP handlers see only published snapshots.
 
 // StartLive arms the engine for incremental driving. rec, when non-nil,
 // receives every retired task (the daemon passes its LiveSource so task
-// structs return to the pool). Live driving is sequential by construction —
-// a Parallel config is rejected rather than silently ignored.
+// structs return to the pool). Live driving is sequential by construction
+// — it runs the sequential stepping loop (arrive, stepWhile) on the
+// caller's goroutine — so a Parallel config is rejected rather than
+// silently ignored.
 func (e *Engine) StartLive(rec workload.Recycler) error {
 	if e.liveOn {
 		return fmt.Errorf("cluster: StartLive called twice")
@@ -45,34 +48,9 @@ func (e *Engine) StartLive(rec workload.Recycler) error {
 	if e.cfg.Parallel {
 		return fmt.Errorf("cluster: live driving is sequential; build the engine with Parallel false")
 	}
-	trim := e.cfg.Sim.Trim
-	if trim == 0 {
-		trim = metrics.DefaultTrim
-	}
-	e.collector = metrics.NewStream(e.matrix.NumTypes(), trim)
-	e.recycler = rec
-	for _, d := range e.dcs {
-		d.sim.Begin(e.collector)
-		d.sim.SetRecycler(rec)
-	}
+	e.begin(rec)
 	e.liveOn = true
 	return nil
-}
-
-// stepNext fires the event nextEvent selected — the body of
-// runSequential's event arm, shared so both drivers advance the clock and
-// route engine-level events identically.
-func (e *Engine) stepNext(tick int64, dc int) error {
-	e.now = tick
-	switch dc {
-	case dcCluster:
-		return e.stepClusterEvent()
-	case dcGate:
-		return e.stepGateEvent()
-	default:
-		e.dcs[dc].sim.StepEvent()
-		return nil
-	}
 }
 
 // SubmitLive admits one task at its stamped Arrival tick: pending events
@@ -88,17 +66,8 @@ func (e *Engine) SubmitLive(t *task.Task) error {
 		return fmt.Errorf("cluster: live submission %d arrives at %d before the previous submission's %d", t.ID, t.Arrival, e.liveArrival)
 	}
 	e.liveArrival = t.Arrival
-	for {
-		tick, dc, ok := e.nextEvent()
-		if !ok || tick >= t.Arrival {
-			break
-		}
-		if err := e.stepNext(tick, dc); err != nil {
-			return err
-		}
-	}
 	e.liveSubmitted++
-	return e.dispatch(t)
+	return e.arrive(t)
 }
 
 // Quiesce settles the system after a burst: it steps pending events while
@@ -111,16 +80,7 @@ func (e *Engine) Quiesce() error {
 	if !e.liveOn {
 		return fmt.Errorf("cluster: Quiesce before StartLive")
 	}
-	for e.InFlight() > 0 {
-		tick, dc, ok := e.nextEvent()
-		if !ok {
-			return nil
-		}
-		if err := e.stepNext(tick, dc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.stepWhile(func(int64) bool { return e.InFlight() > 0 })
 }
 
 // InFlight counts submitted tasks that have not yet exited: every exit
@@ -179,20 +139,7 @@ func (e *Engine) FinishLive() (metrics.TrialStats, []metrics.TrialStats, error) 
 	if err := e.Quiesce(); err != nil {
 		return metrics.TrialStats{}, nil, err
 	}
-	e.flushGateBuffer()
-	end := e.now
-	for _, d := range e.dcs {
-		if t := d.sim.Now(); t > end {
-			end = t
-		}
-	}
-	e.sampler.Flush(end)
-	perDC := make([]metrics.TrialStats, len(e.dcs))
-	total := 0.0
-	for i, d := range e.dcs {
-		perDC[i] = d.sim.Finalize()
-		total += perDC[i].TotalCost
-	}
 	e.liveOn = false
-	return e.collector.Finalize(total), perDC, nil
+	st, perDC := e.finish()
+	return st, perDC, nil
 }

@@ -10,7 +10,7 @@ import (
 // gate-buffer behaviour, and believed-vs-true per-DC health. The shard is
 // owned by the engine goroutine and reads ONLY engine-owned state — never
 // the per-DC simulators, which may be stepping on worker goroutines when
-// the wide-window driver samples mid-window. Per-DC queue depths and fleet
+// the parallel driver samples mid-window. Per-DC queue depths and fleet
 // state live in each datacenter's own simulator shard instead.
 type engineProbes struct {
 	// Event-path counters (engine goroutine only).

@@ -89,12 +89,15 @@ func TestTelemetryDoesNotPerturbScheduling(t *testing.T) {
 // TestClusterParallelTelemetryDeterminism extends the parallel byte-identity
 // contract to the telemetry layer: every shard's time-series rows — engine
 // gate probes and per-DC simulator probes — must be byte-identical between
-// the sequential driver and both parallel drivers (barrier for stateful
-// routes, wide-window for round-robin) at every GOMAXPROCS setting. Runs
-// under -race via make race-telemetry.
+// the sequential driver and the parallel driver (round-robin) at every
+// GOMAXPROCS setting; stateful routes are refused. Runs under -race via
+// make race-telemetry.
 func TestClusterParallelTelemetryDeterminism(t *testing.T) {
-	for _, route := range []string{"pet-aware", "least-queued", "round-robin"} {
+	for _, route := range parallelRoutes {
 		t.Run(route, func(t *testing.T) {
+			if !stepsInParallel(t, route, detectStormScenario()) {
+				return
+			}
 			_, want := telemetryTrial(t, route, false)
 			for _, gmp := range []int{1, 4, 8} {
 				prev := runtime.GOMAXPROCS(gmp)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"taskprune/internal/cluster"
@@ -51,13 +50,6 @@ func (o Options) RunClusterPoint(matrix *pet.Matrix, wcfg workload.Config, simCf
 	if workers > o.Trials {
 		workers = o.Trials
 	}
-	// Per-DC stepping goroutines compose with the trial pool only when the
-	// pool leaves cores idle: each parallel trial occupies up to DCs cores,
-	// so enabling both at full trial fan-out just oversubscribes the host
-	// and slows every level down. Trial results are byte-identical with the
-	// flag on or off (the cluster determinism tests pin this), so the
-	// composition rule is free to be purely about wall-clock.
-	dcPar := o.DCParallel && workers*cp.DCs <= runtime.GOMAXPROCS(0)
 	trials := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -65,7 +57,7 @@ func (o Options) RunClusterPoint(matrix *pet.Matrix, wcfg workload.Config, simCf
 		go func() {
 			defer wg.Done()
 			for trial := range trials {
-				errs[trial] = o.runClusterTrial(trial, matrix, wcfg, simCfg, cp, dcPar, &results[trial])
+				errs[trial] = o.runClusterTrial(trial, matrix, wcfg, simCfg, cp, &results[trial])
 			}
 		}()
 	}
@@ -84,7 +76,7 @@ func (o Options) RunClusterPoint(matrix *pet.Matrix, wcfg workload.Config, simCf
 
 // runClusterTrial simulates one sharded trial end to end, writing the
 // cluster-level statistics into out.
-func (o Options) runClusterTrial(trial int, matrix *pet.Matrix, wcfg workload.Config, simCfg simulator.Config, cp ClusterPoint, dcPar bool, out *metrics.TrialStats) error {
+func (o Options) runClusterTrial(trial int, matrix *pet.Matrix, wcfg workload.Config, simCfg simulator.Config, cp ClusterPoint, out *metrics.TrialStats) error {
 	route := cp.Route
 	if route == "" {
 		route = "round-robin"
@@ -94,7 +86,7 @@ func (o Options) runClusterTrial(trial int, matrix *pet.Matrix, wcfg workload.Co
 		return err
 	}
 	simCfg.Scenario = cp.Scenario
-	eng, err := cluster.New(cluster.Config{DCs: cp.DCs, Policy: policy, Parallel: dcPar, Sim: simCfg})
+	eng, err := cluster.New(cluster.Config{DCs: cp.DCs, Policy: policy, Sim: simCfg})
 	if err != nil {
 		return err
 	}

@@ -34,13 +34,6 @@ type Options struct {
 	Beta float64
 	// VarFrac is the arrival-gamma variance fraction (paper: 0.10).
 	VarFrac float64
-	// DCParallel lets sharded trials step their datacenters on parallel
-	// goroutines (cluster.Config.Parallel). Results are byte-identical
-	// either way, so this is purely a wall-clock knob; RunClusterPoint
-	// only honors it when the trial worker pool leaves cores idle —
-	// workers × DCs must fit in GOMAXPROCS — since oversubscribing cores
-	// with nested parallelism makes both levels slower.
-	DCParallel bool
 	// Streamed switches trials to the pure streaming arrival source
 	// (workload.NewStream): constant memory in the trial length, per-type
 	// RNG splits. Off, trials use the replay-mode source, whose workloads

@@ -7,7 +7,7 @@ package telemetry
 // one row of every scalar's value, stamped with the boundary tick — not
 // the event tick — so rows are a function of simulated time alone. That
 // makes sampler output exactly as deterministic as the event sequence
-// driving it: the parallel cluster drivers replay identical per-shard
+// driving it: the parallel cluster driver replays identical per-shard
 // event sequences, so their rows are byte-identical to sequential ones.
 //
 // Rows live in a bounded ring that keeps the most recent RingCap rows and

@@ -11,7 +11,7 @@
 // zero behavior change. Goldens and allocation baselines recorded with
 // telemetry off therefore stay byte-identical.
 //
-// The contract that keeps parallel drivers deterministic is sharding:
+// The contract that keeps the parallel driver deterministic is sharding:
 // handles are NOT synchronized. Each goroutine owns its own Registry (the
 // engine shard, one shard per DC simulator) and ticks its own sampler from
 // its own event sequence; shards are only read or merged at barriers, when
