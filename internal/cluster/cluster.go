@@ -206,12 +206,20 @@ type Engine struct {
 	liveSubmitted int
 	liveArrival   int64
 
-	// Telemetry: the engine's own shard (tel/sampler/pr), the engine's
-	// dispatch-phase timer, and the per-DC timers it merges at the end.
+	// Gate arrival outcomes: fresh arrivals, those routed straight into a
+	// datacenter, and failover/buffer/retry tasks injected later.
+	arrivals int
+	admitted int
+	injected int
+
+	// Telemetry: the engine's own shard (tel/sampler/detectLag), the
+	// per-interval arrival-rate state, the engine's dispatch-phase timer,
+	// and the per-DC timers it merges at the end.
 	tel          *telemetry.Registry
 	sampler      *telemetry.Sampler
-	pr           engineProbes
-	lastArrivals int64
+	detectLag    *telemetry.Histogram
+	lastArrivals int
+	arrivalRate  float64
 	phases       *telemetry.PhaseTimer
 	dcPhases     []*telemetry.PhaseTimer
 }
@@ -291,7 +299,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Telemetry != nil {
 		e.tel = telemetry.NewRegistry()
-		e.pr = newEngineProbes(e.tel, cfg.DCs)
+		e.registerTelemetry(e.tel, cfg.DCs)
 		e.sampler = telemetry.NewSampler(e.tel, cfg.Telemetry)
 		e.sampler.Prepare = e.prepareSample
 	}

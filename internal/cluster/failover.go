@@ -217,7 +217,7 @@ func (e *Engine) applyGateEvent() error {
 		e.dcs[ev.dc].healthy = false
 		e.gateStats.Detections++
 		e.gateStats.DetectionLagTicks += ev.tick - ev.failTick
-		e.pr.detectLag.Observe(float64(ev.tick - ev.failTick))
+		e.detectLag.Observe(float64(ev.tick - ev.failTick))
 	case gevTrust:
 		if ev.epoch != e.epochs[ev.dc] {
 			return nil
@@ -251,10 +251,10 @@ func (e *Engine) applyGateEvent() error {
 // driver may call it while workers are mid-window.
 func (e *Engine) routeArrival(t *task.Task) (int, bool, error) {
 	t0 := e.phases.Start()
-	e.pr.arrivals.Inc()
+	e.arrivals++
 	d, admit, err := e.gateArrival(t)
 	if admit {
-		e.pr.admitted.Inc()
+		e.admitted++
 	}
 	e.phases.Observe(telemetry.PhaseDispatch, t0)
 	e.sampler.Tick(e.now)
@@ -309,7 +309,7 @@ func (e *Engine) routeInjected(t *task.Task, now int64, attempt int, failover bo
 		e.bounceDispatch(t, d, attempt+1, now)
 		return nil
 	}
-	e.pr.injected.Inc()
+	e.injected++
 	e.dcs[d].sim.InjectRequeued(t, now)
 	return nil
 }
@@ -337,7 +337,7 @@ func (e *Engine) routeDrained(from *DC, t *task.Task, now int64) error {
 		e.bounceDispatch(t, to, 1, now)
 		return nil
 	}
-	e.pr.injected.Inc()
+	e.injected++
 	e.dcs[to].sim.InjectRequeued(t, now)
 	return nil
 }

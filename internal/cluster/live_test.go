@@ -10,10 +10,9 @@ import (
 	"taskprune/internal/workload"
 )
 
-// liveSubmitAll drives an engine through the live API with the given
-// workload: tasks go in arrival order (FromTasks's sort), one SubmitLive
-// per task, then FinishLive.
-func liveSubmitAll(t *testing.T, eng *Engine, tasks []*task.Task) (st, perDC any) {
+// liveSubmit starts live driving and submits the workload in arrival
+// order (FromTasks's sort), one SubmitLive per task.
+func liveSubmit(t *testing.T, eng *Engine, tasks []*task.Task) {
 	t.Helper()
 	ordered := append([]*task.Task(nil), tasks...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
@@ -25,11 +24,30 @@ func liveSubmitAll(t *testing.T, eng *Engine, tasks []*task.Task) (st, perDC any
 			t.Fatal(err)
 		}
 	}
+}
+
+// liveSubmitAll drives an engine through the live API with the given
+// workload (liveSubmit), then FinishLive.
+func liveSubmitAll(t *testing.T, eng *Engine, tasks []*task.Task) (st, perDC any) {
+	t.Helper()
+	liveSubmit(t, eng, tasks)
 	agg, dc, err := eng.FinishLive()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return agg, dc
+}
+
+// liveDetectScenario is a one-DC outage under heartbeat detection: it
+// exercises the gate buffer, bounce/retry, and cluster truth events.
+func liveDetectScenario() *scenario.Scenario {
+	return scenario.New("live-detect").
+		DCFailAt(100, 0, scenario.Requeue).
+		DCRecoverAt(250, 0).
+		WithFailover(scenario.FailoverPolicy{
+			Kind: scenario.FailoverHeartbeat, HeartbeatEvery: 20, SuspectAfter: 2,
+			Probation: 20, BounceAfter: 10, RetryBase: 5, RetryCap: 40,
+		})
 }
 
 // TestLiveEquivalentToRunSource pins the tentpole contract: driving the
@@ -38,13 +56,6 @@ func liveSubmitAll(t *testing.T, eng *Engine, tasks []*task.Task) (st, perDC any
 // including under a heartbeat-detection outage that exercises the gate
 // buffer, bounce/retry, and cluster truth events.
 func TestLiveEquivalentToRunSource(t *testing.T) {
-	detect := scenario.New("live-detect").
-		DCFailAt(100, 0, scenario.Requeue).
-		DCRecoverAt(250, 0).
-		WithFailover(scenario.FailoverPolicy{
-			Kind: scenario.FailoverHeartbeat, HeartbeatEvery: 20, SuspectAfter: 2,
-			Probation: 20, BounceAfter: 10, RetryBase: 5, RetryCap: 40,
-		})
 	for _, tc := range []struct {
 		name      string
 		heuristic string
@@ -53,7 +64,7 @@ func TestLiveEquivalentToRunSource(t *testing.T) {
 	}{
 		{"static-3dc-pam", "PAM", 3, nil},
 		{"static-1dc-mm", "MM", 1, nil},
-		{"detection-outage", "PAM", 3, detect},
+		{"detection-outage", "PAM", 3, liveDetectScenario()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			matrix := clusterPET(t)

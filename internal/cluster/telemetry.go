@@ -6,120 +6,69 @@ import (
 	"taskprune/internal/telemetry"
 )
 
-// engineProbes is the cluster engine's telemetry shard: dispatch outcomes,
-// gate-buffer behaviour, and believed-vs-true per-DC health. The shard is
-// owned by the engine goroutine and reads ONLY engine-owned state — never
-// the per-DC simulators, which may be stepping on worker goroutines when
-// the parallel driver samples mid-window. Per-DC queue depths and fleet
-// state live in each datacenter's own simulator shard instead.
-type engineProbes struct {
-	// Event-path counters (engine goroutine only).
-	arrivals *telemetry.Counter
-	admitted *telemetry.Counter
-	injected *telemetry.Counter
-
-	// Sample-time mirrors of metrics.GateStats.
-	gateDropped   *telemetry.Counter
-	gateShed      *telemetry.Counter
-	lostUndetect  *telemetry.Counter
-	retries       *telemetry.Counter
-	bounced       *telemetry.Counter
-	buffered      *telemetry.Counter
-	detections    *telemetry.Counter
-	detectLagSum  *telemetry.Counter
-	gateMaxDepth  *telemetry.Gauge
-	detectLagMean *telemetry.Gauge
-
-	// Sample-time gauges over engine-owned state.
-	gateDepth    *telemetry.Gauge
-	dcsInService *telemetry.Gauge
-	dcsHealthy   *telemetry.Gauge
-	arrivalRate  *telemetry.Gauge
-	dcInService  []*telemetry.Gauge
-	dcHealthy    []*telemetry.Gauge
-
-	// Distribution of detection lags (ticks from true failure to the
-	// monitor marking the datacenter down), observed at each detection.
-	detectLag *telemetry.Histogram
-}
-
 // detectLagBounds buckets detection lag in ticks.
 var detectLagBounds = []float64{10, 25, 50, 100, 250, 500, 1000}
 
-func newEngineProbes(r *telemetry.Registry, dcs int) engineProbes {
-	p := engineProbes{
-		arrivals:      r.Counter("gate_arrivals_total", "fresh arrivals reaching the dispatcher gate"),
-		admitted:      r.Counter("gate_admitted_total", "arrivals routed straight into a datacenter"),
-		injected:      r.Counter("gate_injected_total", "failover/buffer/retry tasks injected into a datacenter"),
-		gateDropped:   r.Counter("gate_dropped_total", "tasks dropped at the gate (no believed-healthy DC, no buffer)"),
-		gateShed:      r.Counter("gate_shed_total", "tasks shed from the bounded gate buffer"),
-		lostUndetect:  r.Counter("gate_lost_undetected_total", "tasks lost bouncing off undetected outages"),
-		retries:       r.Counter("gate_retries_total", "re-dispatch attempts after bounced dispatches"),
-		bounced:       r.Counter("gate_bounced_total", "dispatches that landed on a down-but-undetected DC"),
-		buffered:      r.Counter("gate_buffered_total", "tasks that entered the gate buffer"),
-		detections:    r.Counter("gate_detections_total", "outages the health monitor flagged"),
-		detectLagSum:  r.Counter("gate_detection_lag_ticks_total", "summed detection lag over all detections"),
-		gateMaxDepth:  r.Gauge("gate_max_queue_depth", "deepest the gate buffer ever got"),
-		detectLagMean: r.Gauge("gate_detection_lag_mean", "mean detection lag in ticks"),
-		gateDepth:     r.Gauge("gate_queue_depth", "tasks currently waiting in the gate buffer"),
-		dcsInService:  r.Gauge("dcs_in_service", "datacenters actually up (ground truth)"),
-		dcsHealthy:    r.Gauge("dcs_healthy", "datacenters the dispatcher believes are up"),
-		arrivalRate:   r.Gauge("gate_arrival_rate", "gate arrivals per simulated tick over the last sample interval"),
-		detectLag:     r.Histogram("gate_detection_lag", "detection lag per flagged outage, in ticks", detectLagBounds),
-	}
-	if r != nil {
-		for d := 0; d < dcs; d++ {
-			p.dcInService = append(p.dcInService, r.Gauge(dcMetric("dc%d_in_service", d), "ground-truth up/down flag for this datacenter"))
-			p.dcHealthy = append(p.dcHealthy, r.Gauge(dcMetric("dc%d_healthy", d), "dispatcher's believed up/down flag for this datacenter"))
+// registerTelemetry wires the engine's telemetry shard into r: dispatch
+// outcomes, gate-buffer behaviour, and believed-vs-true per-DC health.
+// Every counter and gauge is a read of engine-owned state — never of the
+// per-DC simulators, which may be stepping on worker goroutines when the
+// parallel driver samples mid-window. Per-DC queue depths and fleet state
+// live in each datacenter's own simulator shard instead.
+func (e *Engine) registerTelemetry(r *telemetry.Registry, dcs int) {
+	count := func(v *int) func() int64 { return func() int64 { return int64(*v) } }
+	g := &e.gateStats
+	r.Counter("gate_arrivals_total", "fresh arrivals reaching the dispatcher gate", count(&e.arrivals))
+	r.Counter("gate_admitted_total", "arrivals routed straight into a datacenter", count(&e.admitted))
+	r.Counter("gate_injected_total", "failover/buffer/retry tasks injected into a datacenter", count(&e.injected))
+	r.Counter("gate_dropped_total", "tasks dropped at the gate (no believed-healthy DC, no buffer)", count(&g.Dropped))
+	r.Counter("gate_shed_total", "tasks shed from the bounded gate buffer", count(&g.Shed))
+	r.Counter("gate_lost_undetected_total", "tasks lost bouncing off undetected outages", count(&g.LostUndetected))
+	r.Counter("gate_retries_total", "re-dispatch attempts after bounced dispatches", count(&g.Retries))
+	r.Counter("gate_bounced_total", "dispatches that landed on a down-but-undetected DC", count(&g.Bounced))
+	r.Counter("gate_buffered_total", "tasks that entered the gate buffer", count(&g.Buffered))
+	r.Counter("gate_detections_total", "outages the health monitor flagged", count(&g.Detections))
+	r.Counter("gate_detection_lag_ticks_total", "summed detection lag over all detections", func() int64 { return g.DetectionLagTicks })
+	r.Gauge("gate_max_queue_depth", "deepest the gate buffer ever got", func() float64 { return float64(g.MaxQueueDepth) })
+	r.Gauge("gate_detection_lag_mean", "mean detection lag in ticks", func() float64 {
+		if g.Detections == 0 {
+			return 0
 		}
+		return float64(g.DetectionLagTicks) / float64(g.Detections)
+	})
+	r.Gauge("gate_queue_depth", "tasks currently waiting in the gate buffer", func() float64 { return float64(len(e.buf)) })
+	r.Gauge("dcs_in_service", "datacenters actually up (ground truth)", func() float64 { return e.countDCs(func(d *DC) bool { return d.alive }) })
+	r.Gauge("dcs_healthy", "datacenters the dispatcher believes are up", func() float64 { return e.countDCs(func(d *DC) bool { return d.healthy }) })
+	r.Gauge("gate_arrival_rate", "gate arrivals per simulated tick over the last sample interval", func() float64 { return e.arrivalRate })
+	e.detectLag = r.Histogram("gate_detection_lag", "detection lag per flagged outage, in ticks", detectLagBounds)
+	for d := 0; d < dcs; d++ {
+		r.Gauge(dcMetric("dc%d_in_service", d), "ground-truth up/down flag for this datacenter", func() float64 { return boolGauge(e.dcs[d].alive) })
+		r.Gauge(dcMetric("dc%d_healthy", d), "dispatcher's believed up/down flag for this datacenter", func() float64 { return boolGauge(e.dcs[d].healthy) })
 	}
-	return p
 }
 
 func dcMetric(format string, d int) string {
 	return fmt.Sprintf(format, d)
 }
 
-// prepareSample refreshes the engine shard just before a row is recorded.
-// Reads engine-owned state only (gate buffer, health flags, GateStats);
-// deterministic given the engine's event sequence, which is identical
-// across the sequential and parallel drivers.
+// countDCs counts the datacenters for which in holds.
+func (e *Engine) countDCs(in func(*DC) bool) float64 {
+	n := 0
+	for _, d := range e.dcs {
+		if in(d) {
+			n++
+		}
+	}
+	return float64(n)
+}
+
+// prepareSample computes the gate arrival rate over the interval ending at
+// the row about to be recorded — the one probe defined by the previous row
+// rather than by engine state. Deterministic given the engine's event
+// sequence, which is identical across the sequential and parallel drivers.
 func (e *Engine) prepareSample() {
-	p := &e.pr
-	p.gateDepth.Set(float64(len(e.buf)))
-	inService, healthy := 0, 0
-	for i, d := range e.dcs {
-		if d.alive {
-			inService++
-		}
-		if d.healthy {
-			healthy++
-		}
-		if p.dcInService != nil {
-			p.dcInService[i].Set(boolGauge(d.alive))
-			p.dcHealthy[i].Set(boolGauge(d.healthy))
-		}
-	}
-	p.dcsInService.Set(float64(inService))
-	p.dcsHealthy.Set(float64(healthy))
-	g := e.gateStats
-	p.gateDropped.Sync(int64(g.Dropped))
-	p.gateShed.Sync(int64(g.Shed))
-	p.lostUndetect.Sync(int64(g.LostUndetected))
-	p.retries.Sync(int64(g.Retries))
-	p.bounced.Sync(int64(g.Bounced))
-	p.buffered.Sync(int64(g.Buffered))
-	p.detections.Sync(int64(g.Detections))
-	p.detectLagSum.Sync(g.DetectionLagTicks)
-	p.gateMaxDepth.Set(float64(g.MaxQueueDepth))
-	lagMean := 0.0
-	if g.Detections > 0 {
-		lagMean = float64(g.DetectionLagTicks) / float64(g.Detections)
-	}
-	p.detectLagMean.Set(lagMean)
-	arr := p.arrivals.Value()
-	p.arrivalRate.Set(float64(arr-e.lastArrivals) / float64(e.sampler.Every()))
-	e.lastArrivals = arr
+	e.arrivalRate = float64(e.arrivals-e.lastArrivals) / float64(e.sampler.Every())
+	e.lastArrivals = e.arrivals
 }
 
 func boolGauge(b bool) float64 {

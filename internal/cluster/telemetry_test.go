@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -112,23 +113,31 @@ func TestClusterParallelTelemetryDeterminism(t *testing.T) {
 	}
 }
 
-// TestTelemetryProbeSemantics checks the engine shard's final counters
-// against the ground-truth GateStats and the detection-lag histogram
-// against the detection count.
-func TestTelemetryProbeSemantics(t *testing.T) {
-	eng, series := telemetryTrial(t, "pet-aware", false)
-	g := eng.Gate()
-	if g.Detections == 0 {
-		t.Fatalf("detect-storm scenario produced no detections")
-	}
-	snap := eng.Telemetry().Snapshot()
+// scalarValues maps a registry snapshot's scalar names to their values.
+func scalarValues(r *telemetry.Registry) map[string]float64 {
 	vals := map[string]float64{}
-	for _, s := range snap.Scalars {
+	for _, s := range r.Snapshot().Scalars {
 		vals[s.Name] = s.Value
 	}
-	checks := map[string]float64{
+	return vals
+}
+
+// checkShardsCurrent asserts that every scalar the engine shard and the
+// per-DC shards report equals what the owners' own accessors say right
+// now: the gate statistics, the gate buffer depth, the believed and true
+// health flags, and each simulator's failure, mapping, pruning, and
+// eval-cache counters.
+func checkShardsCurrent(t *testing.T, eng *Engine) {
+	t.Helper()
+	g := eng.Gate()
+	lagMean := 0.0
+	if g.Detections > 0 {
+		lagMean = float64(g.DetectionLagTicks) / float64(g.Detections)
+	}
+	want := map[string]float64{
 		"gate_detections_total":          float64(g.Detections),
 		"gate_detection_lag_ticks_total": float64(g.DetectionLagTicks),
+		"gate_detection_lag_mean":        lagMean,
 		"gate_max_queue_depth":           float64(g.MaxQueueDepth),
 		"gate_dropped_total":             float64(g.Dropped),
 		"gate_shed_total":                float64(g.Shed),
@@ -136,30 +145,60 @@ func TestTelemetryProbeSemantics(t *testing.T) {
 		"gate_bounced_total":             float64(g.Bounced),
 		"gate_buffered_total":            float64(g.Buffered),
 		"gate_lost_undetected_total":     float64(g.LostUndetected),
+		"gate_queue_depth":               float64(len(eng.buf)),
 	}
-	for name, want := range checks {
-		if vals[name] != want {
-			t.Errorf("%s = %v, want %v", name, vals[name], want)
+	var inService, healthy float64
+	for _, d := range eng.DCList() {
+		want[fmt.Sprintf("dc%d_in_service", d.Index())] = boolGauge(d.InService())
+		want[fmt.Sprintf("dc%d_healthy", d.Index())] = boolGauge(d.Alive())
+		inService += boolGauge(d.InService())
+		healthy += boolGauge(d.Alive())
+	}
+	want["dcs_in_service"], want["dcs_healthy"] = inService, healthy
+	checkScalars(t, "cluster", scalarValues(eng.Telemetry()), want)
+	for _, d := range eng.DCList() {
+		sim := d.Sim()
+		checkScalars(t, fmt.Sprintf("dc%d", d.Index()), scalarValues(sim.Telemetry()), map[string]float64{
+			"requeued_total":          float64(sim.Requeued()),
+			"evicted_total":           float64(sim.Evicted()),
+			"mapping_events_total":    float64(sim.MappingEvents()),
+			"pruner_drops_total":      float64(sim.DroppedByPruner()),
+			"eval_cache_hits_total":   float64(sim.EvalCache().Hits()),
+			"eval_cache_misses_total": float64(sim.EvalCache().Misses()),
+		})
+	}
+}
+
+func checkScalars(t *testing.T, scope string, got, want map[string]float64) {
+	t.Helper()
+	for name, w := range want {
+		if v, ok := got[name]; !ok || v != w {
+			t.Errorf("%s %s = %v (registered %v), want %v", scope, name, v, ok, w)
 		}
 	}
-	if wantMean := float64(g.DetectionLagTicks) / float64(g.Detections); vals["gate_detection_lag_mean"] != wantMean {
-		t.Errorf("gate_detection_lag_mean = %v, want %v", vals["gate_detection_lag_mean"], wantMean)
+}
+
+// TestTelemetryProbeSemantics checks the shards' final scalars against the
+// owners' accessors and the detection-lag histogram against the detection
+// count.
+func TestTelemetryProbeSemantics(t *testing.T) {
+	eng, series := telemetryTrial(t, "pet-aware", false)
+	g := eng.Gate()
+	if g.Detections == 0 {
+		t.Fatalf("detect-storm scenario produced no detections")
 	}
+	checkShardsCurrent(t, eng)
+	snap := eng.Telemetry().Snapshot()
 	if len(snap.Hists) == 0 || snap.Hists[0].Count != int64(g.Detections) {
 		t.Errorf("detection-lag histogram count does not match Detections=%d", g.Detections)
 	}
 	// The per-DC shards must have accounted every gate-admitted task
 	// (injected tasks enter through InjectRequeued and are mirrored by the
 	// per-DC requeued/restored counters instead).
-	admitted := vals["gate_admitted_total"]
+	admitted := scalarValues(eng.Telemetry())["gate_admitted_total"]
 	var dcArrivals float64
 	for _, d := range eng.DCList() {
-		dsnap := d.Sim().Telemetry().Snapshot()
-		for _, s := range dsnap.Scalars {
-			if s.Name == "arrivals_total" {
-				dcArrivals += s.Value
-			}
-		}
+		dcArrivals += scalarValues(d.Sim().Telemetry())["arrivals_total"]
 	}
 	if dcArrivals != admitted {
 		t.Errorf("per-DC arrivals %v != gate admitted %v", dcArrivals, admitted)
@@ -168,6 +207,39 @@ func TestTelemetryProbeSemantics(t *testing.T) {
 		!bytes.Contains(series, []byte("# telemetry scope=dc2")) {
 		t.Fatalf("series CSV missing shard blocks:\n%s", series[:min(len(series), 400)])
 	}
+}
+
+// TestTelemetrySnapshotCurrentMidRun: a snapshot taken between sampler
+// rows must agree with the owners' accessors, because the registry reads
+// every counter from its owner instead of keeping a copy. A live
+// heartbeat-failover run whose sampling interval lies beyond every tick
+// it reaches records no row at all, so every value checked after Quiesce
+// comes from the snapshot itself — exactly what the daemon publishes to
+// /metrics after each settle.
+func TestTelemetrySnapshotCurrentMidRun(t *testing.T) {
+	matrix := clusterPET(t)
+	cfg := clusterConfig(t, "PAM", matrix, 3, nil, liveDetectScenario())
+	cfg.Telemetry = &telemetry.Options{SampleEvery: 1 << 40}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveSubmit(t, eng, clusterWorkload(t, matrix, 300, 11))
+	if err := eng.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.TelemetrySampler().Len(); n != 0 {
+		t.Fatalf("sampler recorded %d rows; the snapshot would not be mid-interval", n)
+	}
+	g := eng.Gate()
+	requeued := 0
+	for _, d := range eng.DCList() {
+		requeued += d.Sim().Requeued()
+	}
+	if g.Bounced == 0 || g.Retries == 0 || g.Detections == 0 || requeued == 0 {
+		t.Fatalf("outage exercised too little to check: gate %+v, requeued %d", g, requeued)
+	}
+	checkShardsCurrent(t, eng)
 }
 
 // TestTelemetryPhaseBreakdown: with Config.Phases on, the merged breakdown

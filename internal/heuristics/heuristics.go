@@ -212,8 +212,8 @@ type EvalCache struct {
 	free  []*taskEval // recycled taskEval records
 
 	// hits/misses count phase-one evaluation lookups served from (or
-	// missing) the cache — plain counters the telemetry sampler mirrors at
-	// sample boundaries, so the hot path stays free of probe handles.
+	// missing) the cache — plain counters the telemetry registry reads at
+	// snapshot time, so the hot path stays free of probe handles.
 	hits   int64
 	misses int64
 

@@ -24,10 +24,10 @@ import (
 // engine, the RNG, and the capture window's write side. HTTP handlers
 // interact through three safe surfaces: LiveSource.Push (mutex-guarded,
 // non-blocking), atomic counters, and the published status snapshot the
-// pump refreshes after every settle. The simulated clock is event-driven:
-// it advances when submissions and their downstream events demand, never
-// with wall time, so an idle daemon holds its clock (and far-future
-// scenario events) still.
+// pump refreshes after every settle and every publishEvery admissions.
+// The simulated clock is event-driven: it advances when submissions and
+// their downstream events demand, never with wall time, so an idle daemon
+// holds its clock (and far-future scenario events) still.
 type Server struct {
 	cfg    *Config
 	matrix *pet.Matrix
@@ -52,8 +52,9 @@ type Server struct {
 }
 
 // Status is the daemon's published state snapshot (GET /v1/status). The
-// pump refreshes it after every settle; QueueDepth and the rejection
-// counter are read live at request time.
+// pump refreshes it after every settle and every publishEvery admissions
+// within a burst; QueueDepth and the rejection counter are read live at
+// request time.
 type Status struct {
 	Name     string `json:"name"`
 	Draining bool   `json:"draining"`
@@ -148,6 +149,13 @@ func (s *Server) Config() *Config { return s.cfg }
 // bind a dedicated metrics listener next to the API mux.
 func (s *Server) Telemetry() *telemetry.Server { return s.tel }
 
+// publishEvery bounds how stale the published status gets inside one
+// burst: the pump republishes after every publishEvery admissions, so
+// under sustained load — a source that never runs dry, so the burst never
+// ends — the published submitted count trails the engine by fewer than
+// publishEvery tasks.
+const publishEvery = 64
+
 // pump is the engine-owning goroutine: it blocks on the submission
 // channel, admits each burst in arrival order, settles the engine between
 // bursts, and publishes a fresh status snapshot. It exits when the source
@@ -159,21 +167,9 @@ func (s *Server) pump() {
 		if !ok {
 			break
 		}
-		if err := s.submit(t); err != nil {
+		if err := s.burst(t); err != nil {
 			s.fail(err)
 			return
-		}
-		// Drain whatever else arrived while we worked, without blocking:
-		// one settle per burst, not per task.
-		for {
-			t2, ok2, _ := s.src.Poll()
-			if !ok2 {
-				break
-			}
-			if err := s.submit(t2); err != nil {
-				s.fail(err)
-				return
-			}
 		}
 		if err := s.eng.Quiesce(); err != nil {
 			s.fail(err)
@@ -190,6 +186,25 @@ func (s *Server) pump() {
 	}
 	s.mu.Unlock()
 	s.publish()
+}
+
+// burst admits t and then, without blocking, whatever else arrived while
+// the pump worked: one settle per burst, not per task. It publishes after
+// every publishEvery admissions but never settles mid-burst, so arrival
+// stamping is the same as with one publish per burst.
+func (s *Server) burst(t *task.Task) error {
+	for n := 1; ; n++ {
+		if err := s.submit(t); err != nil {
+			return err
+		}
+		if n%publishEvery == 0 {
+			s.publish()
+		}
+		var ok bool
+		if t, ok, _ = s.src.Poll(); !ok {
+			return nil
+		}
+	}
 }
 
 // submit stamps one buffered submission — ID, arrival at the engine's

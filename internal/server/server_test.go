@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"taskprune/internal/scenario"
 )
 
 // testConfig builds a small video-fleet (4×4) config, optionally mutated.
@@ -320,5 +323,107 @@ func TestDrainFlushesBuffered(t *testing.T) {
 	// accounted.
 	if fin.Completed+fin.Missed+fin.Dropped != fin.Window {
 		t.Fatalf("exit tallies do not add up: %+v", fin)
+	}
+}
+
+// TestMetricsAgreeWithStatus: after submissions settle, the gate counters
+// and datacenter health /metrics.json reports must equal /v1/status's,
+// even with a sampling interval no run reaches — both surfaces come from
+// the same publish, and the registry reads the engine's own counters.
+func TestMetricsAgreeWithStatus(t *testing.T) {
+	s, h := newTestServer(t, func(c *Config) {
+		c.DCs = 2
+		c.SampleEvery = 1 << 40
+		c.Scenario = scenario.New("outage").
+			DCFailAt(1, 0, scenario.Requeue).
+			WithFailover(scenario.FailoverPolicy{Kind: scenario.FailoverHeartbeat, HeartbeatEvery: 20, SuspectAfter: 2})
+	})
+	s.Start()
+	const n = 40 // below publishEvery: only the settle publishes
+	if w := do(t, h, "POST", "/v1/tasks", fmt.Sprintf(`{"type":0,"count":%d}`, n)); w.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", w.Code, w.Body)
+	}
+	waitFor(t, h, "burst settled", func(st Status) bool { return st.Submitted == n && st.QueueDepth == 0 })
+
+	w := do(t, h, "GET", "/metrics.json", "")
+	var shards map[string]struct {
+		Counters map[string]float64 `json:"counters"`
+		Gauges   map[string]float64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &shards); err != nil {
+		t.Fatalf("metrics.json: %v\n%s", err, w.Body)
+	}
+	st := getStatus(t, h)
+	g := st.Gate
+	if g.Detections == 0 || st.DCs[0].InService {
+		t.Fatalf("outage not exercised: gate %+v, dcs %+v", g, st.DCs)
+	}
+	want := map[string]float64{
+		"gate_dropped_total":             float64(g.Dropped),
+		"gate_shed_total":                float64(g.Shed),
+		"gate_lost_undetected_total":     float64(g.LostUndetected),
+		"gate_retries_total":             float64(g.Retries),
+		"gate_bounced_total":             float64(g.Bounced),
+		"gate_buffered_total":            float64(g.Buffered),
+		"gate_detections_total":          float64(g.Detections),
+		"gate_detection_lag_ticks_total": float64(g.DetectionLagTicks),
+		"gate_max_queue_depth":           float64(g.MaxQueueDepth),
+	}
+	var inService, healthy float64
+	for _, d := range st.DCs {
+		want[fmt.Sprintf("dc%d_in_service", d.Index)] = flag(d.InService)
+		want[fmt.Sprintf("dc%d_healthy", d.Index)] = flag(d.Healthy)
+		inService += flag(d.InService)
+		healthy += flag(d.Healthy)
+	}
+	want["dcs_in_service"], want["dcs_healthy"] = inService, healthy
+	cl := shards["cluster"]
+	for name, v := range want {
+		got, ok := cl.Counters[name]
+		if !ok {
+			got, ok = cl.Gauges[name]
+		}
+		if !ok || got != v {
+			t.Errorf("/metrics.json %s = %v (present %v), /v1/status says %v", name, got, ok, v)
+		}
+	}
+	drain(t, s)
+}
+
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestStatusKeepsUpWithinBurst pins the status-staleness fix: a burst
+// that never finds the source empty still republishes, so the published
+// submitted count trails the engine by fewer than publishEvery tasks. The
+// pump is not started; the test drives one burst itself over a pre-filled
+// source, so nothing depends on timing.
+func TestStatusKeepsUpWithinBurst(t *testing.T) {
+	s, h := newTestServer(t, func(c *Config) { c.Queue = 3 * publishEvery })
+	n := 2*publishEvery + publishEvery/2
+	if w := do(t, h, "POST", "/v1/tasks", fmt.Sprintf(`{"type":0,"count":%d}`, n)); w.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", w.Code, w.Body)
+	}
+	first, ok, _ := s.src.Poll()
+	if !ok {
+		t.Fatal("pre-filled source is empty")
+	}
+	if err := s.burst(first); err != nil {
+		t.Fatal(err)
+	}
+	if admitted := s.eng.Submitted(); admitted != n || s.src.Len() != 0 {
+		t.Fatalf("burst admitted %d of %d, %d left buffered", admitted, n, s.src.Len())
+	}
+	if lag := n - getStatus(t, h).Submitted; lag < 0 || lag >= publishEvery {
+		t.Fatalf("published submitted trails the %d admitted by %d, want < %d", n, lag, publishEvery)
+	}
+	s.Start()
+	drain(t, s)
+	if fin := s.Final(); fin == nil || fin.Total != n {
+		t.Fatalf("final = %+v, want all %d tasks accounted", fin, n)
 	}
 }

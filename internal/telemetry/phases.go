@@ -43,8 +43,8 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// PhaseTimer accumulates wall time per phase. Like every other telemetry
-// handle it is shard-owned and nil-safe: a nil timer makes Start/Observe
+// PhaseTimer accumulates wall time per phase. Like histograms and
+// samplers it is shard-owned and nil-safe: a nil timer makes Start/Observe
 // free no-ops, and one timer belongs to one goroutine until merged at a
 // barrier. Spans are disjoint by construction (callers time one phase at
 // a time), so phase totals are attributable slices of the trial's wall

@@ -3,8 +3,8 @@ package telemetry
 // Sampler turns a registry into time-series rows on the simulated clock.
 // The owner calls Tick(now) after processing each event; whenever the
 // clock crosses a multiple of the sampling interval the sampler calls the
-// Prepare hook (so lazily maintained gauges can be refreshed) and records
-// one row of every scalar's value, stamped with the boundary tick — not
+// Prepare hook and records one row of every scalar's value (each read from
+// its owner at that moment), stamped with the boundary tick — not
 // the event tick — so rows are a function of simulated time alone. That
 // makes sampler output exactly as deterministic as the event sequence
 // driving it: the parallel cluster driver replays identical per-shard
@@ -19,8 +19,8 @@ type Sampler struct {
 	next  int64
 
 	// Prepare, when set, runs just before each row is recorded; owners
-	// use it to refresh gauges that are too hot to maintain per event
-	// (queue depths, cache hit mirrors, arrival rates).
+	// use it for the few values defined per sample interval rather than
+	// by their own state (the arrival rate since the previous row).
 	Prepare func()
 	// OnSample, when set, runs after each row is recorded with the
 	// boundary tick — the publish hook for live export.

@@ -4,17 +4,24 @@
 // time-series rows, span-style phase timers, and Prometheus/JSON/CSV
 // export surfaces.
 //
-// The contract that makes probes safe to leave in hot paths is
-// zero-cost-when-disabled: every handle method is a nil-receiver no-op, so
-// a nil *Registry hands out nil handles and the instrumented code runs the
-// exact same instructions (an inlined nil check) with zero allocations and
-// zero behavior change. Goldens and allocation baselines recorded with
-// telemetry off therefore stay byte-identical.
+// Counters and gauges hold no values: each registers a read function over
+// state its owner already keeps (a simulator field, the gate statistics,
+// the exit collector), and every Snapshot and sampler row calls it. There
+// is one copy of every count, so a snapshot taken at any point agrees with
+// the owner's own accessors, and the hot path pays nothing for scalars.
+//
+// Histograms are the one stateful probe, and they keep the
+// zero-cost-when-disabled contract: a nil *Registry hands out nil
+// histograms whose methods are nil-receiver no-ops, so the instrumented
+// code runs the exact same instructions (an inlined nil check) with zero
+// allocations and zero behavior change. Goldens and allocation baselines
+// recorded with telemetry off therefore stay byte-identical.
 //
 // The contract that keeps the parallel driver deterministic is sharding:
-// handles are NOT synchronized. Each goroutine owns its own Registry (the
-// engine shard, one shard per DC simulator) and ticks its own sampler from
-// its own event sequence; shards are only read or merged at barriers, when
+// registries are NOT synchronized, and read functions touch their owner's
+// state without locks. Each goroutine owns its own Registry (the engine
+// shard, one shard per DC simulator) and ticks its own sampler from its
+// own event sequence; shards are only read or merged at barriers, when
 // the owning goroutine is quiescent. No hot-path atomics, nothing for the
 // race detector to find.
 package telemetry
@@ -36,67 +43,6 @@ func (k Kind) String() string {
 		return "counter"
 	}
 	return "gauge"
-}
-
-// Counter counts events. The zero of a registered counter is 0; a nil
-// counter (from a nil registry) ignores every call.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n (no-op on a nil receiver).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Sync overwrites the counter with an externally maintained cumulative
-// value. It exists for mirroring counters that predate the registry
-// (eval-cache hits, GateStats fields) at sample boundaries instead of
-// double-instrumenting their hot paths.
-func (c *Counter) Sync(v int64) {
-	if c == nil {
-		return
-	}
-	c.v = v
-}
-
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge holds an instantaneous level. A nil gauge ignores every call.
-type Gauge struct{ v float64 }
-
-// Set overwrites the gauge (no-op on a nil receiver).
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Add moves the gauge by d (no-op on a nil receiver).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.v += d
-}
-
-// Value returns the current level (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram is a fixed-bucket histogram: counts[i] tallies observations
@@ -142,27 +88,23 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
+// scalar is one registered counter or gauge: a read of state its owner
+// keeps, evaluated at every snapshot and sampler row.
 type scalar struct {
-	name    string
-	help    string
-	kind    Kind
-	counter *Counter
-	gauge   *Gauge
-}
-
-func (s *scalar) value() float64 {
-	if s.kind == KindCounter {
-		return float64(s.counter.Value())
-	}
-	return s.gauge.Value()
+	name string
+	help string
+	kind Kind
+	read func() float64
 }
 
 // Registry owns one shard's metrics. It is not synchronized: exactly one
-// goroutine registers, updates, and snapshots it, and other goroutines may
-// only look via Snapshot results taken at barriers. A nil *Registry is the
-// disabled state — every method returns nil handles or zero snapshots.
+// goroutine registers and snapshots it (the goroutine that owns the state
+// its read functions touch), and other goroutines may only look via
+// Snapshot results taken at barriers. A nil *Registry is the
+// disabled state — registration is a no-op, histograms come back nil, and
+// snapshots are empty.
 type Registry struct {
-	scalars []*scalar
+	scalars []scalar
 	hists   []*Histogram
 	names   map[string]bool
 }
@@ -179,27 +121,26 @@ func (r *Registry) claim(name string) {
 	r.names[name] = true
 }
 
-// Counter registers a counter. Returns nil (a no-op handle) on a nil
-// registry; panics on a duplicate name, which is a programming error.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.claim(name)
-	c := &Counter{}
-	r.scalars = append(r.scalars, &scalar{name: name, help: help, kind: KindCounter, counter: c})
-	return c
+// Counter registers a counter whose cumulative value read returns. The
+// registry keeps no copy: every snapshot and sampler row calls read, so
+// the registry always agrees with the owner's own accessors. No-op on a
+// nil registry; panics on a duplicate name, which is a programming error.
+func (r *Registry) Counter(name, help string, read func() int64) {
+	r.add(name, help, KindCounter, func() float64 { return float64(read()) })
 }
 
-// Gauge registers a gauge. Returns nil on a nil registry.
-func (r *Registry) Gauge(name, help string) *Gauge {
+// Gauge registers a gauge whose current level read returns. No-op on a
+// nil registry.
+func (r *Registry) Gauge(name, help string, read func() float64) {
+	r.add(name, help, KindGauge, read)
+}
+
+func (r *Registry) add(name, help string, kind Kind, read func() float64) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.claim(name)
-	g := &Gauge{}
-	r.scalars = append(r.scalars, &scalar{name: name, help: help, kind: KindGauge, gauge: g})
-	return g
+	r.scalars = append(r.scalars, scalar{name: name, help: help, kind: kind, read: read})
 }
 
 // Histogram registers a fixed-bucket histogram with the given ascending
@@ -236,7 +177,7 @@ func (r *Registry) ScalarNames() []string {
 // scalarValues appends the current scalar values in registration order.
 func (r *Registry) scalarValues(into []float64) []float64 {
 	for _, s := range r.scalars {
-		into = append(into, s.value())
+		into = append(into, s.read())
 	}
 	return into
 }
@@ -278,7 +219,7 @@ func (r *Registry) Snapshot() Snapshot {
 		Hists:   make([]HistValue, len(r.hists)),
 	}
 	for i, s := range r.scalars {
-		snap.Scalars[i] = ScalarValue{Name: s.name, Help: s.help, Kind: s.kind, Value: s.value()}
+		snap.Scalars[i] = ScalarValue{Name: s.name, Help: s.help, Kind: s.kind, Value: s.read()}
 	}
 	for i, h := range r.hists {
 		snap.Hists[i] = HistValue{

@@ -6,24 +6,21 @@ import (
 	"time"
 )
 
-// A nil registry must hand out nil handles whose every method is a no-op —
-// the zero-cost-when-disabled contract the hot paths rely on.
+// Registration on a nil registry must be a no-op and every nil handle
+// (histogram, sampler, phase timer) inert — the zero-cost-when-disabled
+// contract the hot paths rely on.
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("a", "")
-	g := r.Gauge("b", "")
+	read := func() int64 { t.Fatal("nil registry called a read function"); return 0 }
+	r.Counter("a", "", read)
+	r.Gauge("b", "", func() float64 { return float64(read()) })
 	h := r.Histogram("c", "", []float64{1, 2})
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry handed out non-nil handles: %v %v %v", c, g, h)
+	if h != nil {
+		t.Fatalf("nil registry handed out a non-nil histogram: %v", h)
 	}
-	c.Inc()
-	c.Add(5)
-	c.Sync(9)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil handles accumulated state")
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("nil histogram accumulated state")
 	}
 	if names := r.ScalarNames(); names != nil {
 		t.Fatalf("nil registry has scalar names %v", names)
@@ -38,6 +35,9 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if s.Len() != 0 || s.Columns() != nil || s.Every() != 0 || s.Evicted() != 0 {
 		t.Fatalf("nil sampler accumulated state")
 	}
+	if NewSampler(r, nil) != nil {
+		t.Fatalf("nil registry built a non-nil sampler")
+	}
 	var pt *PhaseTimer
 	pt.Observe(PhaseEval, pt.Start())
 	pt.Merge(NewPhaseTimer())
@@ -49,28 +49,32 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 }
 
+// A snapshot reads every scalar from its owner at the moment it is taken:
+// the owner's changes show up with no sampler tick in between, and the
+// registry keeps no copy that could lag.
 func TestScalarSemantics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("done_total", "finished things")
-	g := r.Gauge("depth", "queue depth")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
+	var done int
+	depth := 7.0
+	r.Counter("done_total", "finished things", func() int64 { return int64(done) })
+	r.Gauge("depth", "queue depth", func() float64 { return depth })
+	check := func(wantDone, wantDepth float64) {
+		t.Helper()
+		snap := r.Snapshot()
+		if len(snap.Scalars) != 2 ||
+			snap.Scalars[0].Name != "done_total" || snap.Scalars[0].Kind != KindCounter || snap.Scalars[0].Value != wantDone ||
+			snap.Scalars[1].Name != "depth" || snap.Scalars[1].Kind != KindGauge || snap.Scalars[1].Value != wantDepth {
+			t.Fatalf("snapshot = %+v, want done_total=%v depth=%v", snap.Scalars, wantDone, wantDepth)
+		}
 	}
-	c.Sync(42)
-	if c.Value() != 42 {
-		t.Fatalf("Sync: counter = %d, want 42", c.Value())
-	}
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %v, want 5", g.Value())
-	}
-	snap := r.Snapshot()
-	if len(snap.Scalars) != 2 || snap.Scalars[0].Name != "done_total" || snap.Scalars[0].Value != 42 ||
-		snap.Scalars[1].Kind != KindGauge || snap.Scalars[1].Value != 5 {
-		t.Fatalf("snapshot = %+v", snap.Scalars)
+	check(0, 7)
+	done += 5
+	depth = 5
+	check(5, 5)
+	done = 42
+	check(42, 5)
+	if names := r.ScalarNames(); len(names) != 2 || names[0] != "done_total" || names[1] != "depth" {
+		t.Fatalf("ScalarNames = %v", names)
 	}
 }
 
@@ -81,8 +85,8 @@ func TestDuplicateNamePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x", "")
-	r.Gauge("x", "")
+	r.Counter("x", "", func() int64 { return 0 })
+	r.Gauge("x", "", func() float64 { return 0 })
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -105,18 +109,54 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestHistogramAccessorsAndBounds(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lag", "", []float64{1})
+	h.Observe(0.5)
+	h.Observe(3)
+	if h.Count() != 2 || h.Sum() != 3.5 {
+		t.Fatalf("count %d sum %v, want 2, 3.5", h.Count(), h.Sum())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("non-ascending bounds did not panic")
+		}
+	}()
+	r.Histogram("bad", "", []float64{2, 2})
+}
+
+// Sorted orders a merged snapshot by name for deterministic rendering and
+// leaves its input untouched.
+func TestSortedSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("zeta", "", func() float64 { return 1 })
+	r.Counter("alpha_total", "", func() int64 { return 2 })
+	r.Histogram("z_lag", "", []float64{1})
+	r.Histogram("a_lag", "", []float64{1})
+	snap := r.Snapshot()
+	got := Sorted(snap)
+	if got.Scalars[0].Name != "alpha_total" || got.Scalars[1].Name != "zeta" ||
+		got.Hists[0].Name != "a_lag" || got.Hists[1].Name != "z_lag" {
+		t.Fatalf("Sorted = %+v", got)
+	}
+	if snap.Scalars[0].Name != "zeta" || snap.Hists[0].Name != "z_lag" {
+		t.Fatalf("Sorted reordered its input: %+v", snap)
+	}
+}
+
 func TestSamplerBoundariesAndFlush(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("events_total", "")
+	var events int64
+	r.Counter("events_total", "", func() int64 { return events })
 	prepared := 0
 	s := NewSampler(r, &Options{SampleEvery: 100, RingCap: 8})
 	s.Prepare = func() { prepared++ }
-	c.Inc()
+	events++
 	s.Tick(50) // before the first boundary: no row
 	if s.Len() != 0 {
 		t.Fatalf("row recorded before the first boundary")
 	}
-	c.Inc()
+	events++
 	s.Tick(250) // crosses 100 and 200
 	if s.Len() != 2 || prepared != 2 {
 		t.Fatalf("len=%d prepared=%d, want 2,2", s.Len(), prepared)
@@ -143,7 +183,7 @@ func TestSamplerBoundariesAndFlush(t *testing.T) {
 
 func TestSamplerFlushOnBoundaryRecordsOnce(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	r.Counter("x_total", "", func() int64 { return 0 })
 	s := NewSampler(r, &Options{SampleEvery: 100, RingCap: 8})
 	s.Flush(200) // crosses 100 and 200; the 200 row must not double
 	if s.Len() != 2 {
@@ -156,9 +196,8 @@ func TestSamplerFlushOnBoundaryRecordsOnce(t *testing.T) {
 
 func TestSamplerRingBound(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n_total", "")
+	r.Counter("n_total", "", func() int64 { return 1 })
 	s := NewSampler(r, &Options{SampleEvery: 10, RingCap: 4})
-	c.Add(1)
 	s.Tick(100) // 10 boundaries → 10 rows, 4 retained
 	if s.Len() != 4 || s.Evicted() != 6 {
 		t.Fatalf("len=%d evicted=%d, want 4,6", s.Len(), s.Evicted())
@@ -170,7 +209,7 @@ func TestSamplerRingBound(t *testing.T) {
 
 func TestSamplerOnSampleHook(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	r.Counter("x_total", "", func() int64 { return 0 })
 	s := NewSampler(r, &Options{SampleEvery: 50, RingCap: 4})
 	var ticks []int64
 	s.OnSample = func(tick int64) { ticks = append(ticks, tick) }
@@ -182,20 +221,14 @@ func TestSamplerOnSampleHook(t *testing.T) {
 
 func TestMergeSnapshots(t *testing.T) {
 	a := NewRegistry()
-	ca := a.Counter("done_total", "")
-	ga := a.Gauge("depth", "")
-	ha := a.Histogram("lag", "", []float64{10})
-	ca.Add(3)
-	ga.Set(5)
-	ha.Observe(4)
+	a.Counter("done_total", "", func() int64 { return 3 })
+	a.Gauge("depth", "", func() float64 { return 5 })
+	a.Histogram("lag", "", []float64{10}).Observe(4)
 	b := NewRegistry()
-	cb := b.Counter("done_total", "")
-	gb := b.Gauge("depth", "")
-	hb := b.Histogram("lag", "", []float64{10})
-	cb.Add(4)
-	gb.Set(9)
-	hb.Observe(40)
-	b.Counter("extra_total", "").Add(1)
+	b.Counter("done_total", "", func() int64 { return 4 })
+	b.Gauge("depth", "", func() float64 { return 9 })
+	b.Histogram("lag", "", []float64{10}).Observe(40)
+	b.Counter("extra_total", "", func() int64 { return 1 })
 
 	m := Merge(a.Snapshot(), b.Snapshot())
 	got := map[string]float64{}

@@ -1,7 +1,7 @@
 #!/bin/sh
-# bench_guard.sh: allocation-regression tripwire. Runs every benchmark
-# recorded in the committed baseline (BENCH_<date>.json, written by
-# `make bench`) once and fails if any benchmark's allocs/op or B/op exceed
+# bench_guard.sh BASELINE: allocation-regression tripwire. Runs every
+# benchmark recorded in the committed baseline BASELINE (BENCH_<date>.json,
+# written by `make bench`) once and fails if any benchmark's allocs/op or B/op exceed
 # 2x its baseline (plus a small absolute slack — 512 allocs / 256 KiB —
 # since sync.Pool refills after GC make near-zero baselines jittery; the
 # slack is kept well under the smallest baselines so the 2x gate stays
@@ -12,7 +12,13 @@
 # engineering of PRs 1 and 3 bought.
 set -eu
 
-baseline_file=${1:-BENCH_20260728.json}
+# The baseline is named in one place only, the Makefile's BENCH_BASELINE;
+# a fallback here would silently go stale when that baseline moves on.
+if [ $# -ne 1 ]; then
+	echo "usage: $0 BENCH_<date>.json (make bench-guard passes the Makefile's BENCH_BASELINE)" >&2
+	exit 2
+fi
+baseline_file=$1
 
 names=$(grep -o '"name":"[^"]*"' "$baseline_file" | cut -d'"' -f4)
 if [ -z "$names" ]; then

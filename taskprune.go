@@ -179,7 +179,8 @@ type (
 	PETView = pet.View
 	// TelemetryOptions enables a simulator's (or cluster's) probe
 	// registry and time-series sampler; leave the config field nil and
-	// every probe compiles down to a nil-receiver no-op.
+	// no registry exists — histogram probes compile down to
+	// nil-receiver no-ops.
 	TelemetryOptions = telemetry.Options
 	// TelemetryRegistry is a shard of named counters/gauges/histograms.
 	TelemetryRegistry = telemetry.Registry
